@@ -12,17 +12,21 @@
 /// separately (and blockingly) by tests/test_golden_cycles; this bench only
 /// shape-checks that every simulation validates and throughput is measurable.
 ///
-/// The bench also sweeps the batched engine (sim::simulate_batch) across
-/// batch widths K = 1, 4, 8, 16 on the same config stream — configs grouped
-/// by (app, VL), each group's trace decoded once, chunked into K-lane
-/// batches — and records per-K configs/sec, speedup over the scalar loop,
-/// and mean lane occupancy. K = 1 isolates raw engine speed (no batching);
-/// wider K adds trace sharing and lane scheduling. Batched cycle totals are
-/// shape-checked bit-identical against the scalar pass.
+/// The first pass is the per-request loop: one sim::simulate call (a
+/// one-lane engine run that decodes its trace) per (config, app). The bench
+/// then sweeps sim::simulate_batch across batch widths K = 1, 4, 8, 16 on
+/// the same config stream — configs grouped by (app, VL), each group's trace
+/// decoded once, chunked into K-lane batches — and records per-K
+/// configs/sec, speedup over the sim::simulate loop (JSON key
+/// `speedup_vs_scalar`, kept for trend continuity), and mean lane
+/// occupancy. K = 1 isolates decode sharing (no lane batching); wider K
+/// adds trace-window sharing and lane scheduling. Batched cycle totals are
+/// shape-checked bit-identical against the sim::simulate pass.
 ///
-/// The scalar loop and every sweep can be repeated (ADSE_BENCH98_REPEATS)
-/// with the *minimum* time kept — the standard defence against a noisy
-/// shared machine; throughput ratios are only comparable within one run.
+/// The sim::simulate loop and every sweep can be repeated
+/// (ADSE_BENCH98_REPEATS) with the *minimum* time kept — the standard
+/// defence against a noisy shared machine; throughput ratios are only
+/// comparable within one run.
 ///
 /// Knobs: ADSE_BENCH98_CONFIGS (default 64 configurations),
 ///        ADSE_BENCH98_REPEATS (default 1; min time across repeats),
@@ -183,7 +187,7 @@ int main() {
   // ---- batch-width sweep: the same stream through sim::simulate_batch ----
   // Configs grouped by VL (a batch shares one trace), chunked into K lanes.
   // Each group's trace is decoded once per sweep pass — the shared-decode
-  // path chunked campaigns use — mirroring the scalar loop's prebuilt
+  // path chunked campaigns use — mirroring the sim::simulate loop's prebuilt
   // traces (trace preparation is not simulator throughput).
   std::map<int, std::vector<config::CpuConfig>> by_vl;
   for (const auto& c : configs) {
@@ -237,7 +241,7 @@ int main() {
 
   TextTable batch_table(
       {"K", "seconds", "configs/s", "speedup", "mean lanes"});
-  batch_table.add_row({"1 (scalar)", format_fixed(total_seconds, 2),
+  batch_table.add_row({"simulate", format_fixed(total_seconds, 2),
                        format_fixed(configs_per_sec, 2), "1.00", "1.0"});
   double best_speedup = 1.0;
   for (const BatchSweep& sweep : sweeps) {
@@ -253,7 +257,8 @@ int main() {
                          format_fixed(sweep.mean_active_lanes(), 1)});
   }
   std::printf("%s\n", batch_table.render().c_str());
-  std::printf("best batched speedup over scalar: %.2fx\n\n", best_speedup);
+  std::printf("best batched speedup over sim::simulate: %.2fx\n\n",
+              best_speedup);
 
   // JSON record for the CI throughput trend (uploaded as an artifact;
   // intentionally non-blocking — machine speed varies across runners).
@@ -329,7 +334,8 @@ int main() {
   }
   failures += bench::shape_check(
       batch_cycles_identical,
-      "batched cycle totals bit-identical to the scalar pass at every K");
+      "batched cycle totals bit-identical to the sim::simulate pass at "
+      "every K");
   failures += bench::shape_check(batch_measurable,
                                  "batched throughput measurable at every K");
   return failures == 0 ? 0 : 1;

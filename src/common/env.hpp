@@ -39,7 +39,7 @@ std::int64_t num_threads();
 std::uint64_t campaign_seed();
 
 /// Batch width for config-parallel simulation (ADSE_BATCH_K, default 8).
-/// Values <= 1 disable batched dispatch (every request runs scalar). Read
+/// Values <= 1 disable batched dispatch (every request runs alone). Read
 /// once by `eval::EvalService` construction — the service chunks same-
 /// (app, VL) requests into batches of at most this many lanes.
 std::int64_t batch_k();

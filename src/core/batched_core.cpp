@@ -66,10 +66,10 @@ struct BatchedCore::DecodedOp {
   bool has(std::uint8_t bit) const { return (info & bit) != 0; }
 };
 
-/// Per-config pipeline state: the exact dynamic state of `core::Core`, one
-/// instance per lane, with the register files and waiter lists inlined (the
-/// wakeup lists become one intrusive linked list over RS operand slots, so a
-/// lane's whole wakeup machinery is two flat arrays).
+/// Per-config pipeline state, one instance per lane, with the register files
+/// and waiter lists inlined (the wakeup lists are one intrusive linked list
+/// over RS operand slots, so a lane's whole wakeup machinery is two flat
+/// arrays).
 struct BatchedCore::Lane {
   enum class RobState : std::uint8_t { kWaiting, kIssued, kCompleted };
   enum class LsqState : std::uint8_t { kWaitAgu, kReadyToSend, kInFlight, kDone };
@@ -159,17 +159,20 @@ struct BatchedCore::Lane {
     mispredict_loop_exits = fidelity.mispredict_loop_exits;
     forward_latency = fidelity.forward_latency;
 
-    rob.resize(static_cast<std::size_t>(config.core.rob_size));
-    rs.resize(static_cast<std::size_t>(rs_cap));
-    lq.resize(static_cast<std::size_t>(config.core.load_queue_size));
-    sq.resize(static_cast<std::size_t>(config.core.store_queue_size));
-    feq.resize(static_cast<std::size_t>(
+    // Capacities come from the configuration, not the container sizes, so
+    // the invariant sweep bounds occupancy by what was configured and an
+    // allocation-time off-by-one cannot mask an occupancy bug.
+    rob_cap = static_cast<std::uint32_t>(config.core.rob_size);
+    lq_cap = static_cast<std::uint32_t>(config.core.load_queue_size);
+    sq_cap = static_cast<std::uint32_t>(config.core.store_queue_size);
+    feq_cap = static_cast<std::uint32_t>(
         std::max(16, 2 * std::max(config.core.frontend_width,
-                                  config.backend.dispatch_width))));
-    rob_cap = static_cast<std::uint32_t>(rob.size());
-    lq_cap = static_cast<std::uint32_t>(lq.size());
-    sq_cap = static_cast<std::uint32_t>(sq.size());
-    feq_cap = static_cast<std::uint32_t>(feq.size());
+                                  config.backend.dispatch_width)));
+    rob.resize(rob_cap);
+    rs.resize(static_cast<std::size_t>(rs_cap));
+    lq.resize(lq_cap);
+    sq.resize(sq_cap);
+    feq.resize(feq_cap);
     free_rs.reserve(rs.size());
     for (std::uint32_t i = static_cast<std::uint32_t>(rs.size()); i > 0; --i) {
       free_rs.push_back(i - 1);
@@ -212,7 +215,7 @@ struct BatchedCore::Lane {
   isa::PortLayout ports;
   mem::MemoryHierarchy* hierarchy;
 
-  // ---- dynamic state (mirrors core::Core field for field) ----
+  // ---- dynamic state ----
   std::array<RegFile, isa::kNumRegClasses> regs;
   std::vector<std::int32_t> waiter_next;  ///< RS operand slot -> next node
 
@@ -250,8 +253,8 @@ namespace {
 
 using Lane = BatchedCore::Lane;
 
-// Rings use conditional wrapping instead of the scalar model's `% size()`:
-// the sizes are runtime values, so modulo is an integer division per use.
+// Rings use conditional wrapping instead of `% size()`: the sizes are runtime
+// values, so modulo would be an integer division per use.
 std::uint32_t ring_next(std::uint32_t i, std::uint32_t cap) {
   const std::uint32_t n = i + 1;
   return n == cap ? 0 : n;
@@ -279,10 +282,10 @@ void insert_lsq_ready(std::vector<std::uint32_t>& list,
   list.insert(it, slot);
 }
 
-/// Marks a destination ready and delivers the wakeups. Delivery order is
-/// reversed relative to the scalar model's FIFO waiter vectors, which cannot
-/// be observed: wakeups only decrement pending-source counts, and the ready
-/// list is ordered by seq, not by insertion.
+/// Marks a destination ready and delivers the wakeups. Delivery order (LIFO
+/// through the intrusive list) cannot be observed: wakeups only decrement
+/// pending-source counts, and the ready list is ordered by seq, not by
+/// insertion.
 void wake_consumers(Lane& l, isa::RegClass cls, std::int32_t phys) {
   Lane::RegFile& f = l.regs[static_cast<std::size_t>(cls)];
   f.ready[static_cast<std::size_t>(phys)] = 1;
@@ -843,6 +846,15 @@ void BatchedCore::step_cycle(Lane& l, std::span<const DecodedOp> ops) {
 
 namespace {
 
+/// Register indices index fixed 32-entry rename maps, so a trace naming an
+/// architectural register its class does not have is rejected at decode.
+std::uint8_t arch_index(const isa::RegRef& reg) {
+  ADSE_REQUIRE_MSG(reg.index < arch_regs(reg.cls),
+                   "register index " << reg.index << " out of range for class "
+                                     << static_cast<int>(reg.cls));
+  return static_cast<std::uint8_t>(reg.index);
+}
+
 void decode_program(const isa::Program& program,
                     std::vector<BatchedCore::DecodedOp>& decoded) {
   using DecodedOp = BatchedCore::DecodedOp;
@@ -869,12 +881,12 @@ void decode_program(const isa::Program& program,
     if (op.dest.valid()) {
       d.info |= DecodedOp::kHasDest;
       d.dest_cls = static_cast<std::uint8_t>(op.dest.cls);
-      d.dest_idx = static_cast<std::uint8_t>(op.dest.index);
+      d.dest_idx = arch_index(op.dest);
     }
     for (int s = 0; s < 3; ++s) {
       const isa::RegRef& src = op.srcs[static_cast<std::size_t>(s)];
       d.src_cls[s] = static_cast<std::uint8_t>(src.cls);
-      d.src_idx[s] = static_cast<std::uint8_t>(src.index);
+      d.src_idx[s] = src.valid() ? arch_index(src) : 0;
     }
   }
 }

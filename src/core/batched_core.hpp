@@ -1,25 +1,50 @@
 #pragma once
 /// \file batched_core.hpp
-/// Config-parallel core simulation: K configurations executed per trace
-/// pass. All lanes share one decoded µop stream (decode/fetch metadata is
-/// extracted once per batch, not once per config) and keep their own
-/// structure-of-arrays pipeline state — ROB/LSQ rings, RS free list,
-/// per-phys-reg waiter lists, execution event wheel, register files — laid
-/// out per lane so the engine sweeps lane-major over a cache-resident trace
-/// window.
+/// The SimEng-substitute core model: a cycle-driven, trace-fed out-of-order
+/// superscalar pipeline, run as K independent lanes (one per configuration)
+/// over one shared decoded µop stream. Every simulation in the library is a
+/// run of this engine — sim::simulate and the hardware proxy are one-lane
+/// runs, campaigns batch up to K lanes per (app, VL) trace.
 ///
-/// Scheduling is windowed round-robin: the trace is cut into fixed-size
-/// windows; each active lane runs cycles until its fetch cursor crosses the
-/// window boundary, then the next lane reuses the same (hot) window. Lanes
-/// that finish early are retired from the active set by swap-erase
-/// compaction, so a batch never drags dead lanes.
+/// Pipeline (per simulated cycle and lane, processed back to front so
+/// same-cycle structural hazards resolve like a real pipeline):
 ///
-/// Semantics are bit-identical to `core::Core` — same stage order, same
-/// ready-list orderings, same memory-completion tie-breaking, same stats
-/// attribution (tests/test_batch_sim.cpp and the golden-cycles gate prove
-/// it). Lanes are fully independent, so the interleaving the scheduler picks
-/// cannot affect any lane's counts; the engine is purely a throughput
-/// optimisation (DESIGN.md §12).
+///   COMMIT    — in order, up to commit_width completed ROB entries; frees
+///               previous register mappings and LQ/SQ entries.
+///   COMPLETE  — memory responses drain through the LSQ completion pipe
+///               (lsq_completion_width per cycle); ALU results complete from
+///               the execution buckets; destinations wake RS consumers.
+///   MEM SEND  — ready loads/stores go to the memory hierarchy subject to
+///               Table II's per-cycle request/load/store caps and load/store
+///               bandwidth (bytes per cycle); loads check older stores for
+///               forwarding or conflicts first.
+///   ISSUE     — oldest-first from the unified reservation station onto the
+///               9 fixed ports (3 L/S, 2 SVE, 1 predicate, 3 mixed).
+///   DISPATCH  — up to dispatch_width µops/cycle from the frontend queue into
+///               ROB + RS (+ LQ/SQ for memory ops).
+///   FRONTEND  — fetch/decode/rename up to frontend_width µops, bounded by
+///               the fetch block (bytes/cycle) unless streaming from the
+///               loop buffer; renaming stalls when a physical register file
+///               is exhausted.
+///
+/// Branches are trace-driven (perfectly predicted); the hardware-proxy
+/// fidelity adds mispredict penalties. The hot loop is event-driven
+/// (DESIGN.md §7): wakeup-driven issue, free-list RS allocation, store->load
+/// dependences cached at dispatch, and an occupancy-masked completion wheel
+/// so idle cycles are skipped in O(1). Cycle counts are bit-identical to the
+/// original brute-force per-cycle model (tests/test_golden_cycles.cpp).
+///
+/// Lanes keep their own pipeline state — ROB/LSQ rings, RS free list,
+/// per-phys-reg waiter lists, execution event wheel, register files, stats —
+/// and share only the decoded trace, which is extracted once per batch (or
+/// once per (app, VL) group via DecodedTrace). Scheduling is windowed
+/// round-robin: the trace is cut into fixed-size windows; each active lane
+/// runs cycles until its fetch cursor crosses the window boundary, then the
+/// next lane reuses the same (hot) window. Lanes that finish early are
+/// retired from the active set by swap-erase compaction. Lanes are fully
+/// independent, so the interleaving the scheduler picks cannot affect any
+/// lane's counts: a config's stats are the same alone or in any batch
+/// (tests/test_batch_sim.cpp, DESIGN.md §12).
 
 #include <cstdint>
 #include <memory>
@@ -28,12 +53,26 @@
 #include <vector>
 
 #include "config/cpu_config.hpp"
-#include "core/core.hpp"
 #include "core/core_stats.hpp"
 #include "isa/program.hpp"
 #include "mem/hierarchy.hpp"
 
 namespace adse::core {
+
+/// Extra effects for hardware-proxy fidelity (see sim/hardware_proxy).
+struct CoreFidelity {
+  /// Every `mispredict_interval`-th branch flushes the frontend for
+  /// `mispredict_penalty` cycles (deterministic, reproducible). 0 = off.
+  int mispredict_interval = 0;
+  int mispredict_penalty = 12;
+  /// Mispredict every loop-exit branch (how real predictors actually miss on
+  /// loop-heavy HPC codes) instead of, or in addition to, the fixed interval.
+  bool mispredict_loop_exits = false;
+  /// Store->load forwarding latency in cycles. The campaign simulator uses
+  /// the idealised 1 cycle (as SimEng's LSQ effectively does); real cores
+  /// pay ~10 cycles, which the hardware proxy models.
+  int forward_latency = 1;
+};
 
 /// Scheduler observability for a batched run (lane-occupancy accounting the
 /// bench records: how full the batch stayed as lanes retired early).
@@ -95,8 +134,8 @@ class BatchedCore {
   BatchedCore& operator=(const BatchedCore&) = delete;
 
   /// Runs `program` to completion on every lane; stats come back in lane
-  /// (== config) order. Single-use, like constructing a fresh `Core` per
-  /// run. Throws if any lane exceeds `max_cycles`.
+  /// (== config) order. Single-use: construct a fresh engine per run. Throws
+  /// if any lane exceeds `max_cycles`, and on an empty program.
   std::vector<CoreStats> run(const isa::Program& program,
                              std::uint64_t max_cycles = 2'000'000'000ULL);
 

@@ -143,7 +143,8 @@ struct ServiceConfig {
   /// back to hardware concurrency) via adse::num_threads().
   int threads = 0;
   /// Batch width ceiling for config-parallel dispatch; 0 inherits
-  /// ADSE_BATCH_K (default 8), <= 1 keeps every request on the scalar path.
+  /// ADSE_BATCH_K (default 8), <= 1 keeps every request on the per-request
+  /// path.
   int batch_k = 0;
   /// Routing gate for the fused surrogate; < 0 inherits
   /// ADSE_FUSED_THRESHOLD. Consumed through fused_options().

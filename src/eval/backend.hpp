@@ -57,13 +57,13 @@ class Backend {
   virtual sim::RunResult run(const config::CpuConfig& config, kernels::App app,
                              const isa::Program& trace) const = 0;
 
-  /// True if `run_batch` beats a scalar loop (the service only groups and
-  /// chunks requests for backends that say so).
+  /// True if `run_batch` beats a per-request loop (the service only groups
+  /// and chunks requests for backends that say so).
   virtual bool supports_batch() const { return false; }
 
   /// Evaluates K (config, app) pairs against one shared trace; results come
   /// back in config order. All configs must share the trace's vector length.
-  /// The default is the scalar loop, so every backend accepts batched
+  /// The default is a per-request loop, so every backend accepts batched
   /// dispatch; the cycle simulator overrides with the config-parallel
   /// engine (sim::simulate_batch).
   virtual std::vector<sim::RunResult> run_batch(

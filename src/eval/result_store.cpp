@@ -1,5 +1,6 @@
 #include "eval/result_store.hpp"
 
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
 
@@ -370,9 +371,20 @@ void ResultStore::append(const StoreRecord& record) {
   const std::string bytes = encode(record);
   std::lock_guard<std::mutex> lock(mutex_);
   if (file_ == nullptr) return;
-  std::fwrite(bytes.data(), 1, bytes.size(), file_);
-  std::fflush(file_);
-  ++appended_;
+  if (std::fwrite(bytes.data(), 1, bytes.size(), file_) == bytes.size() &&
+      std::fflush(file_) == 0) {
+    ++appended_;
+    return;
+  }
+  // A failed write (full disk, file-size limit) may have left a torn record.
+  // Stop appending so no intact record can follow it: the loader's torn-tail
+  // truncation repairs the file on the next open.
+  obs::logf(obs::LogLevel::kWarn,
+            "[eval-store] %s: append failed (%s); no further records will "
+            "persist from this process\n",
+            path_.c_str(), std::strerror(errno));
+  std::fclose(file_);
+  file_ = nullptr;
 }
 
 void ResultStore::flush() {

@@ -60,13 +60,15 @@ class ResultStore {
   /// Records found intact on disk at open time.
   const std::vector<StoreRecord>& loaded() const { return loaded_; }
 
-  /// Records appended by this process since open.
+  /// Records this process persisted since open (written and flushed).
   std::size_t appended() const;
 
-  /// Persists one record (thread-safe; one buffered write + flush). A store
-  /// whose handle was already closed (exit-time teardown racing a late
-  /// append) drops the record instead of crashing — losing one memo entry
-  /// beats corrupting the file.
+  /// Persists one record (thread-safe; one buffered write + flush). Only a
+  /// record whose write and flush both succeed counts in appended(); the
+  /// first failed write logs a warning and closes the handle. A store whose
+  /// handle is closed (after a failed write, or exit-time teardown racing a
+  /// late append) drops the record instead of crashing — losing one memo
+  /// entry beats corrupting the file.
   void append(const StoreRecord& record);
 
   /// Flushes the append handle (thread-safe; no-op when closed). Appends

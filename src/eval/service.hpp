@@ -245,7 +245,7 @@ class EvalService final : public Evaluator {
   obs::Gauge* store_appended_;
   ThreadPool pool_;
   /// Batch width ceiling (ServiceConfig::batch_k, env-inherited when 0);
-  /// <= 1 keeps every request on the scalar path.
+  /// <= 1 keeps every request on the per-request path.
   int batch_k_;
   TraceCache traces_;
   SimulatorBackend simulator_;

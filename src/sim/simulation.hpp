@@ -6,7 +6,6 @@
 #include <string>
 
 #include "config/cpu_config.hpp"
-#include "core/core.hpp"
 #include "core/core_stats.hpp"
 #include "isa/program.hpp"
 #include "kernels/workloads.hpp"
@@ -31,7 +30,8 @@ struct RunResult {
 
 /// Runs `program` on `config` with the campaign-fidelity simulator
 /// (infinite banks / unlimited MSHRs / perfect branches — the SST defaults
-/// the paper describes).
+/// the paper describes): one lane of sim::simulate_lanes, the engine path
+/// every simulation shares.
 RunResult simulate(const config::CpuConfig& config, const isa::Program& program);
 
 /// Convenience: builds the app's default trace for the config's vector

@@ -1,4 +1,4 @@
-#include "core/core.hpp"
+#include "core/batched_core.hpp"
 
 #include <gtest/gtest.h>
 
@@ -16,11 +16,13 @@ using kernels::KernelBuilder;
 using kernels::pred;
 using isa::InstrGroup;
 
+/// One config alone: a one-lane engine run.
 CoreStats run(const config::CpuConfig& cfg, const isa::Program& program,
               const CoreFidelity& fidelity = {}) {
   mem::MemoryHierarchy hierarchy(cfg.mem, config::kCoreClockGhz);
-  Core core(cfg, hierarchy, fidelity);
-  return core.run(program);
+  mem::MemoryHierarchy* lane_memory = &hierarchy;
+  BatchedCore core({&cfg, 1}, {&lane_memory, 1}, fidelity);
+  return core.run(program).front();
 }
 
 /// A wide-open configuration where only the aspect under test binds.
@@ -69,9 +71,23 @@ TEST(Core, RetiresEveryOp) {
 TEST(Core, EmptyProgramThrows) {
   isa::Program empty;
   empty.name = "empty";
-  mem::MemoryHierarchy hierarchy(roomy().mem, config::kCoreClockGhz);
-  Core core(roomy(), hierarchy);
+  const config::CpuConfig cfg = roomy();
+  mem::MemoryHierarchy hierarchy(cfg.mem, config::kCoreClockGhz);
+  mem::MemoryHierarchy* lane_memory = &hierarchy;
+  BatchedCore core({&cfg, 1}, {&lane_memory, 1});
   EXPECT_THROW(core.run(empty), InvariantError);
+}
+
+TEST(Core, OutOfRangeRegisterThrows) {
+  // Rename maps hold the architectural registers only; a trace naming one
+  // past the class's count is rejected before any cycle runs.
+  isa::Program bad;
+  bad.name = "bad";
+  isa::MicroOp op;
+  op.dest = isa::RegRef{isa::RegClass::kGp,
+                        static_cast<std::uint16_t>(config::kArchGpRegs)};
+  bad.ops.push_back(op);
+  EXPECT_THROW(run(roomy(), bad), InvariantError);
 }
 
 TEST(Core, IndependentIntsSaturateDispatch) {

@@ -1,10 +1,14 @@
 #include "eval/service.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <csignal>
 #include <filesystem>
 #include <thread>
 #include <vector>
@@ -616,6 +620,43 @@ TEST_F(ResultStoreTest, ForeignFileIsReplacedNotTrusted) {
   ResultStore reopened(path_);
   ASSERT_EQ(reopened.loaded().size(), 1u);
   EXPECT_EQ(reopened.loaded()[0].core.cycles, record(4).core.cycles);
+}
+
+TEST_F(ResultStoreTest, FailedWriteIsNotCountedAsPersisted) {
+  // A child process caps its own file size (RLIMIT_FSIZE) two and a half
+  // records past the header, so the third append tears; with SIGXFSZ
+  // ignored the write fails with EFBIG instead of killing the child. Every
+  // record the store counted as appended must be one a fresh open reloads.
+  std::fflush(stdout);
+  std::fflush(stderr);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    int persisted = 255;
+    try {
+      ResultStore store(path_);
+      const auto header = std::filesystem::file_size(path_);
+      const rlim_t limit = header + 2 * ResultStore::record_bytes() +
+                           ResultStore::record_bytes() / 2;
+      const rlimit cap{limit, limit};
+      std::signal(SIGXFSZ, SIG_IGN);
+      if (::setrlimit(RLIMIT_FSIZE, &cap) == 0) {
+        for (std::uint64_t i = 1; i <= 50; ++i) store.append(record(i));
+        persisted = static_cast<int>(store.appended());
+      }
+    } catch (...) {
+    }
+    std::_Exit(persisted);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  const int persisted = WEXITSTATUS(status);
+  ASSERT_NE(persisted, 255) << "child could not set up the capped store";
+  EXPECT_EQ(persisted, 2);
+
+  ResultStore reopened(path_);
+  EXPECT_EQ(reopened.loaded().size(), static_cast<std::size_t>(persisted));
 }
 
 TEST_F(ResultStoreTest, TagIsStableAndDiscriminates) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.hpp"
 #include "common/require.hpp"
+#include "common/rng.hpp"
 #include "config/baselines.hpp"
+#include "config/param_space.hpp"
 #include "sim/hardware_proxy.hpp"
 
 namespace adse::sim {
@@ -100,6 +103,30 @@ TEST(HardwareProxy, DeterministicToo) {
   const config::CpuConfig tx2 = config::thunderx2_baseline();
   EXPECT_EQ(simulate_hardware_app(tx2, kernels::App::kTeaLeaf).cycles(),
             simulate_hardware_app(tx2, kernels::App::kTeaLeaf).cycles());
+}
+
+TEST(HardwareProxy, CleanUnderInvariantChecks) {
+  // The proxy's fidelity (mispredict flushes, forwarding latency, finite
+  // banks/MSHRs, L1 prefetch fills) under the per-cycle structural sweep
+  // and the per-run conservation laws: every run must pass, and arming the
+  // checks must not shift a single cycle.
+  const config::ParameterSpace space;
+  std::vector<config::CpuConfig> configs{config::thunderx2_baseline()};
+  for (const std::uint64_t seed : {11u, 29u}) {
+    Rng rng(seed);
+    configs.push_back(space.sample(rng));
+  }
+  for (const config::CpuConfig& cfg : configs) {
+    for (kernels::App app : kernels::all_apps()) {
+      const RunResult plain = simulate_hardware_app(cfg, app);
+      ScopedCheck check(true);
+      RunResult checked;
+      ASSERT_NO_THROW(checked = simulate_hardware_app(cfg, app))
+          << cfg.name << " / " << kernels::app_name(app);
+      EXPECT_EQ(checked.cycles(), plain.cycles())
+          << cfg.name << " / " << kernels::app_name(app);
+    }
+  }
 }
 
 TEST(Simulation, SveFractionsMatchFig1Pattern) {
