@@ -1,5 +1,7 @@
 #include "config/cpu_config.hpp"
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "common/require.hpp"
@@ -70,6 +72,11 @@ struct InvalidCase {
   const char* label;
   void (*mutate)(CpuConfig&);
 };
+
+// Print the case by its label: gtest's default byte dump would put the
+// function and string addresses (which move with every process under ASLR)
+// into the discovered ctest name.
+void PrintTo(const InvalidCase& c, std::ostream* os) { *os << c.label; }
 
 class ValidateRejects : public ::testing::TestWithParam<InvalidCase> {};
 

@@ -1,5 +1,7 @@
 #include "core/batched_core.hpp"
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "common/require.hpp"
@@ -373,6 +375,10 @@ struct MonotonicCase {
   const char* label;
   void (*shrink)(config::CpuConfig&);
 };
+
+// Print the case by its label so the discovered ctest name carries no
+// per-process addresses.
+void PrintTo(const MonotonicCase& c, std::ostream* os) { *os << c.label; }
 
 class ResourceMonotonic : public ::testing::TestWithParam<MonotonicCase> {};
 
