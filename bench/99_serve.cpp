@@ -210,7 +210,15 @@ int main() {
               server_p99_us);
 
   // --- 4. cross-client coalescing -----------------------------------------
-  const eval::EvalStats before = daemon->service().stats();
+  obs::Registry& daemon_metrics = daemon->service().metrics();
+  const auto counter = [](obs::Registry& metrics, const char* name) {
+    return metrics.counter(name).value();
+  };
+  const std::uint64_t runs_before =
+      counter(daemon_metrics, "eval.backend_runs");
+  const std::uint64_t joined_before =
+      counter(daemon_metrics, "eval.inflight_joins") +
+      counter(daemon_metrics, "eval.memo_hits");
   {
     Rng rng(seed ^ 0x2545f4914f6cdd1dULL);
     config::CpuConfig cfg = space.sample(rng);
@@ -226,12 +234,11 @@ int main() {
     }
     for (std::thread& thread : dup_threads) thread.join();
   }
-  const eval::EvalStats after = daemon->service().stats();
   const std::uint64_t coalesced_backend_runs =
-      after.backend_runs - before.backend_runs;
+      counter(daemon_metrics, "eval.backend_runs") - runs_before;
   const std::uint64_t coalesced_joins =
-      (after.inflight_joins - before.inflight_joins) +
-      (after.memo_hits - before.memo_hits);
+      counter(daemon_metrics, "eval.inflight_joins") +
+      counter(daemon_metrics, "eval.memo_hits") - joined_before;
   std::printf(
       "coalescing: %d clients x same config -> %llu backend run(s), "
       "%llu joined/hit\n",
@@ -251,10 +258,13 @@ int main() {
       failures += r.ok() ? 0 : 1;
     }
   }
-  const eval::EvalStats restart = second.service().stats();
+  const std::uint64_t restart_backend_runs =
+      counter(second.service().metrics(), "eval.backend_runs");
+  const std::uint64_t restart_store_hits =
+      counter(second.service().metrics(), "eval.store_hits");
   std::printf("warm restart: %llu fresh sims, %llu store hits\n\n",
-              static_cast<unsigned long long>(restart.backend_runs),
-              static_cast<unsigned long long>(restart.store_hits));
+              static_cast<unsigned long long>(restart_backend_runs),
+              static_cast<unsigned long long>(restart_store_hits));
 
   {
     std::ofstream out(json_path);
@@ -274,8 +284,8 @@ int main() {
         << "  \"coalescing\": {\"clients\": " << num_clients
         << ", \"backend_runs\": " << coalesced_backend_runs
         << ", \"joined_or_hit\": " << coalesced_joins << "},\n"
-        << "  \"warm_restart\": {\"backend_runs\": " << restart.backend_runs
-        << ", \"store_hits\": " << restart.store_hits << "}\n"
+        << "  \"warm_restart\": {\"backend_runs\": " << restart_backend_runs
+        << ", \"store_hits\": " << restart_store_hits << "}\n"
         << "}\n";
   }
   std::printf("wrote %s\n", json_path.c_str());
@@ -290,8 +300,8 @@ int main() {
       coalesced_backend_runs == 1,
       "N clients x same fresh config coalesce to exactly 1 backend run");
   failures += bench::shape_check(
-      restart.backend_runs == 0 &&
-          restart.store_hits == static_cast<std::uint64_t>(num_configs),
+      restart_backend_runs == 0 &&
+          restart_store_hits == static_cast<std::uint64_t>(num_configs),
       "second daemon start reuses the warm store (0 fresh sims)");
 
   second.drain();

@@ -12,11 +12,6 @@ namespace adse::coherence {
 
 namespace {
 
-/// DRAM service time per line request at 1 GHz DRAM clock — the same
-/// bandwidth constant MemoryHierarchy uses (duplicated because it is a
-/// private implementation detail there; DESIGN.md §16 pins both to 4.0).
-constexpr double kRamServiceNsAt1Ghz = 4.0;
-
 constexpr std::array<const char*, 4> kBugNames = {
     "none", "drop_inval_ack", "leak_sharer_bit", "skip_downgrade"};
 
@@ -67,13 +62,14 @@ TiledMemory::TiledMemory(const config::CpuConfig& cfg, double core_clock_ghz,
   l1_free_.assign(static_cast<std::size_t>(tiles_), 0.0);
   l2_free_.assign(static_cast<std::size_t>(tiles_), 0.0);
 
-  // Clock-domain conversions, identical to MemoryHierarchy.
-  l1_lat_core_ = mem.l1_latency_cycles * core_clock_ghz / mem.l1_clock_ghz;
-  l2_lat_core_ = mem.l2_latency_cycles * core_clock_ghz / mem.l2_clock_ghz;
-  ram_lat_core_ = mem.ram_latency_ns * core_clock_ghz;
-  l1_interval_ = core_clock_ghz / mem.l1_clock_ghz / 2.0;
-  l2_interval_ = core_clock_ghz / mem.l2_clock_ghz;
-  ram_interval_ = kRamServiceNsAt1Ghz / mem.ram_clock_ghz * core_clock_ghz;
+  // The clock-domain conversion MemoryHierarchy uses.
+  const mem::CoreCycleTiming t = mem::core_cycle_timing(mem, core_clock_ghz);
+  l1_lat_core_ = t.l1_latency;
+  l2_lat_core_ = t.l2_latency;
+  ram_lat_core_ = t.ram_latency;
+  l1_interval_ = t.l1_interval;
+  l2_interval_ = t.l2_interval;
+  ram_interval_ = t.ram_interval;
 }
 
 double TiledMemory::net(int a, int b) const {

@@ -14,8 +14,6 @@ namespace {
 
 constexpr char kMagic[8] = {'A', 'D', 'S', 'E', 'V', 'A', 'L', '2'};
 constexpr std::uint32_t kVersion = 2;
-constexpr char kMagicV1[8] = {'A', 'D', 'S', 'E', 'V', 'A', 'L', '1'};
-constexpr std::uint32_t kVersionV1 = 1;
 /// Doubles in the v2 power block (dynamic_j, leakage_j, area_mm2).
 constexpr std::size_t kPowerDoubles = 3;
 
@@ -29,44 +27,6 @@ std::uint64_t fnv1a(const unsigned char* data, std::size_t n,
     hash *= kFnvPrime;
   }
   return hash;
-}
-
-/// Applies `fn` to every counter the *v1* format persisted, in the frozen v1
-/// order. This list must never change: it is the contract that lets the
-/// loader read pre-power stores.
-template <typename Stats, typename Fn>
-void visit_counters_v1(Stats& core, auto& mem, Fn&& fn) {
-  fn(core.cycles);
-  fn(core.retired);
-  fn(core.retired_sve);
-  for (int g = 0; g < isa::kNumInstrGroups; ++g) fn(core.retired_by_group[g]);
-  fn(core.cycles_entered);
-  fn(core.cycles_skipped);
-  for (int s = 0; s < core::kNumStages; ++s) fn(core.stage_active_cycles[s]);
-  fn(core.rs_wakeups);
-  fn(core.stall_fetch_bytes);
-  for (int c = 0; c < isa::kNumRegClasses; ++c) fn(core.stall_no_phys[c]);
-  fn(core.stall_rob_full);
-  fn(core.stall_rs_full);
-  fn(core.stall_lq_full);
-  fn(core.stall_sq_full);
-  fn(core.loads_forwarded);
-  fn(core.loads_sent);
-  fn(core.stores_sent);
-  fn(core.loop_buffer_ops);
-
-  fn(mem.loads);
-  fn(mem.stores);
-  fn(mem.line_requests);
-  fn(mem.l1_hits);
-  fn(mem.l1_misses);
-  fn(mem.l2_hits);
-  fn(mem.l2_misses);
-  fn(mem.ram_requests);
-  fn(mem.dirty_writebacks);
-  fn(mem.prefetch_fills);
-  fn(mem.tlb_misses);
-  fn(mem.bank_conflicts);
 }
 
 /// Applies `fn` to every persisted counter of a record's stat blocks, in one
@@ -123,18 +83,6 @@ std::size_t num_counters() {
   return n;
 }
 
-std::size_t num_counters_v1() {
-  std::size_t n = 0;
-  core::CoreStats core;
-  mem::MemStats mem;
-  visit_counters_v1(core, mem, [&n](std::uint64_t&) { ++n; });
-  return n;
-}
-
-std::size_t record_bytes_v1() {
-  return 8 * (2 + config::kNumParams + num_counters_v1() + 1);
-}
-
 void put_u64(std::string& out, std::uint64_t v) {
   char raw[sizeof(v)];
   std::memcpy(raw, &v, sizeof(v));
@@ -160,18 +108,12 @@ double get_double(const unsigned char* p) {
   return v;
 }
 
-/// Identity + feature prefix shared by both format versions.
-std::string encode_prefix(const StoreRecord& record) {
+std::string encode(const StoreRecord& record) {
   std::string out;
   put_u64(out, record.backend_tag);
   put_u64(out, static_cast<std::uint64_t>(
                    static_cast<std::int64_t>(record.app)));
   for (double f : record.features) put_double(out, f);
-  return out;
-}
-
-std::string encode(const StoreRecord& record) {
-  std::string out = encode_prefix(record);
   // const_cast-free: copy and visit the copy.
   core::CoreStats core = record.core;
   mem::MemStats mem = record.mem;
@@ -184,19 +126,11 @@ std::string encode(const StoreRecord& record) {
   return out;
 }
 
-std::string encode_v1(const StoreRecord& record) {
-  std::string out = encode_prefix(record);
-  core::CoreStats core = record.core;
-  mem::MemStats mem = record.mem;
-  visit_counters_v1(core, mem, [&out](std::uint64_t& v) { put_u64(out, v); });
-  put_u64(out, fnv1a(reinterpret_cast<const unsigned char*>(out.data()),
-                     out.size()));
-  return out;
-}
-
-/// Parses the shared identity/feature prefix; returns the advanced cursor.
-const unsigned char* decode_prefix(const unsigned char* p,
-                                   StoreRecord& record) {
+/// Decodes one record; returns false on checksum mismatch (torn write).
+bool decode(const unsigned char* data, std::size_t bytes, StoreRecord& record) {
+  const std::size_t body = bytes - sizeof(std::uint64_t);
+  if (fnv1a(data, body) != get_u64(data + body)) return false;
+  const unsigned char* p = data;
   record.backend_tag = get_u64(p);
   p += 8;
   record.app = static_cast<std::int32_t>(
@@ -206,14 +140,6 @@ const unsigned char* decode_prefix(const unsigned char* p,
     f = get_double(p);
     p += 8;
   }
-  return p;
-}
-
-/// Decodes one record; returns false on checksum mismatch (torn write).
-bool decode(const unsigned char* data, std::size_t bytes, StoreRecord& record) {
-  const std::size_t body = bytes - sizeof(std::uint64_t);
-  if (fnv1a(data, body) != get_u64(data + body)) return false;
-  const unsigned char* p = decode_prefix(data, record);
   visit_counters(record.core, record.mem, [&p](std::uint64_t& v) {
     v = get_u64(p);
     p += 8;
@@ -226,33 +152,11 @@ bool decode(const unsigned char* data, std::size_t bytes, StoreRecord& record) {
   return true;
 }
 
-/// Decodes one v1 record: v2-only counters stay 0, power stays NaN.
-bool decode_v1(const unsigned char* data, std::size_t bytes,
-               StoreRecord& record) {
-  const std::size_t body = bytes - sizeof(std::uint64_t);
-  if (fnv1a(data, body) != get_u64(data + body)) return false;
-  const unsigned char* p = decode_prefix(data, record);
-  visit_counters_v1(record.core, record.mem, [&p](std::uint64_t& v) {
-    v = get_u64(p);
-    p += 8;
-  });
-  return true;
-}
-
 std::string encode_header() {
   std::string out(kMagic, sizeof(kMagic));
   const std::uint32_t fields[3] = {
       kVersion, static_cast<std::uint32_t>(config::kNumParams),
       static_cast<std::uint32_t>(ResultStore::record_bytes())};
-  out.append(reinterpret_cast<const char*>(fields), sizeof(fields));
-  return out;
-}
-
-std::string encode_header_v1() {
-  std::string out(kMagicV1, sizeof(kMagicV1));
-  const std::uint32_t fields[3] = {
-      kVersionV1, static_cast<std::uint32_t>(config::kNumParams),
-      static_cast<std::uint32_t>(record_bytes_v1())};
   out.append(reinterpret_cast<const char*>(fields), sizeof(fields));
   return out;
 }
@@ -290,9 +194,7 @@ ResultStore::ResultStore(std::string path, bool verbose)
   }
 
   const std::string header = encode_header();
-  const std::string header_v1 = encode_header_v1();
   std::size_t good = 0;
-  bool migrated = false;
   if (contents.size() >= header.size() &&
       std::memcmp(contents.data(), header.data(), header.size()) == 0) {
     good = header.size();
@@ -310,35 +212,15 @@ ResultStore::ResultStore(std::string path, bool verbose)
                 "(%zu records intact)\n",
                 path_.c_str(), contents.size() - good, loaded_.size());
     }
-  } else if (contents.size() >= header_v1.size() &&
-             std::memcmp(contents.data(), header_v1.data(),
-                         header_v1.size()) == 0) {
-    // Forward compatibility: read the pre-power format and migrate it to v2
-    // (missing counters 0, power NaN — the service recomputes it on load).
-    migrated = true;
-    good = header_v1.size();
-    const std::size_t rec = record_bytes_v1();
-    const auto* data = reinterpret_cast<const unsigned char*>(contents.data());
-    while (good + rec <= contents.size()) {
-      StoreRecord record;
-      if (!decode_v1(data + good, rec, record)) break;
-      loaded_.push_back(record);
-      good += rec;
-    }
-    if (verbose) {
-      obs::logf(obs::LogLevel::kInfo,
-                "[eval-store] %s: migrating %zu v1 records to v2\n",
-                path_.c_str(), loaded_.size());
-    }
   } else if (!contents.empty() && verbose) {
     obs::logf(obs::LogLevel::kWarn,
               "[eval-store] %s: stale or foreign header; rebuilding\n",
               path_.c_str());
   }
 
-  // Publish phase: rewrite header + intact records if anything was torn,
-  // stale or version-migrated, then hold an append handle.
-  if (migrated || good != contents.size() || contents.empty()) {
+  // Publish phase: rewrite header + intact records if anything was torn or
+  // stale, then hold an append handle.
+  if (good != contents.size() || contents.empty()) {
     std::FILE* out = std::fopen(path_.c_str(), "wb");
     ADSE_REQUIRE_MSG(out != nullptr, "cannot open eval store " << path_);
     std::fwrite(header.data(), 1, header.size(), out);
@@ -396,25 +278,6 @@ void ResultStore::visit_run_counters(
     core::CoreStats& core, mem::MemStats& mem,
     const std::function<void(std::uint64_t&)>& fn) {
   visit_counters(core, mem, fn);
-}
-
-void ResultStore::write_legacy_v1(const std::string& path,
-                                  const std::vector<StoreRecord>& records) {
-  namespace fs = std::filesystem;
-  const fs::path p(path);
-  if (p.has_parent_path()) {
-    std::error_code ec;
-    fs::create_directories(p.parent_path(), ec);
-  }
-  std::FILE* out = std::fopen(path.c_str(), "wb");
-  ADSE_REQUIRE_MSG(out != nullptr, "cannot write v1 eval store " << path);
-  const std::string header = encode_header_v1();
-  std::fwrite(header.data(), 1, header.size(), out);
-  for (const StoreRecord& record : records) {
-    const std::string bytes = encode_v1(record);
-    std::fwrite(bytes.data(), 1, bytes.size(), out);
-  }
-  std::fclose(out);
 }
 
 }  // namespace adse::eval

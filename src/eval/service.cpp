@@ -135,15 +135,6 @@ EvalService::EvalService(ServiceConfig config)
       slot.core = record.core;
       slot.mem = record.mem;
       slot.power = record.power;
-      if (!slot.power.valid()) {
-        // Record migrated from a pre-power (v1) store: rebuild the config
-        // from its features and re-run the analytical model. Best effort —
-        // area and leakage are exact (pure functions of the config and the
-        // cycle count); dynamic energy misses the v2-only event counters,
-        // which decode as zero.
-        slot.power = power::analyze(config::config_from_features(record.features),
-                                    record.core, record.mem);
-      }
       slot.from_store = true;
       slot.state = Slot::State::kDone;
       slot.done.store(true, std::memory_order_release);
@@ -548,62 +539,57 @@ std::vector<EvalResponse> EvalService::evaluate_batched(
   return out;
 }
 
-EvalStats EvalService::stats() const {
-  EvalStats s;
-  s.requests = requests_->value();
-  s.backend_runs = backend_runs_->value();
-  s.memo_hits = memo_hits_->value();
-  s.store_hits = store_hits_->value();
-  s.inflight_joins = inflight_joins_->value();
-  if (store_ != nullptr) {
-    s.store_loaded = store_->loaded().size();
-    s.store_appended = store_->appended();
-  }
-  s.trace_hits = traces_.hits();
-  s.trace_builds = traces_.builds();
-  // Refresh the sampled gauges so a registry snapshot taken after stats()
-  // (the bench/CI artifact path) reflects the pool and store state.
+void EvalService::refresh_gauges() const {
   pool_queue_depth_->set(static_cast<double>(pool_.queue_depth()));
   pool_queue_high_water_->set(static_cast<double>(pool_.max_queue_depth()));
-  store_appended_->set(static_cast<double>(s.store_appended));
-  return s;
+  store_appended_->set(
+      static_cast<double>(store_ != nullptr ? store_->appended() : 0));
 }
 
 std::string EvalService::summary_line() const {
-  // Byte-stable with the historical sim::summarize_eval(EvalStats) output:
   // CI's cache-reuse smoke greps "[eval] fresh simulator runs: 0 ".
-  const EvalStats s = stats();
   std::ostringstream os;
-  os << "[eval] fresh simulator runs: " << s.backend_runs
-     << " | requests: " << s.requests << " | memo hits: " << s.memo_hits
-     << " | store hits: " << s.store_hits << " | in-flight joins: "
-     << s.inflight_joins << " | traces built: " << s.trace_builds;
+  os << "[eval] fresh simulator runs: " << backend_runs_->value()
+     << " | requests: " << requests_->value()
+     << " | memo hits: " << memo_hits_->value()
+     << " | store hits: " << store_hits_->value()
+     << " | in-flight joins: " << inflight_joins_->value()
+     << " | traces built: " << traces_.builds();
   return os.str();
 }
 
 std::string EvalService::cache_table() const {
-  const EvalStats s = stats();
+  const std::uint64_t requests = requests_->value();
+  const std::uint64_t cached = memo_hits_->value() + store_hits_->value() +
+                               inflight_joins_->value();
   auto grouped = [](std::uint64_t v) {
     return format_grouped(static_cast<long long>(v));
   };
   std::ostringstream os;
   TextTable table({"evaluation service", "count"});
-  table.add_row({"requests served", grouped(s.requests)});
-  table.add_row({"fresh backend runs", grouped(s.backend_runs)});
-  table.add_row({"memo hits", grouped(s.memo_hits)});
-  table.add_row({"result-store hits", grouped(s.store_hits)});
-  table.add_row({"in-flight joins", grouped(s.inflight_joins)});
-  table.add_row({"cached %", format_fixed(s.hit_fraction() * 100.0, 2)});
-  table.add_row({"store records loaded", grouped(s.store_loaded)});
-  table.add_row({"store records appended", grouped(s.store_appended)});
-  table.add_row({"traces built", grouped(s.trace_builds)});
-  table.add_row({"trace-cache hits", grouped(s.trace_hits)});
+  table.add_row({"requests served", grouped(requests)});
+  table.add_row({"fresh backend runs", grouped(backend_runs_->value())});
+  table.add_row({"memo hits", grouped(memo_hits_->value())});
+  table.add_row({"result-store hits", grouped(store_hits_->value())});
+  table.add_row({"in-flight joins", grouped(inflight_joins_->value())});
+  table.add_row(
+      {"cached %",
+       format_fixed(requests == 0 ? 0.0
+                                  : 100.0 * static_cast<double>(cached) /
+                                        static_cast<double>(requests),
+                    2)});
+  table.add_row({"store records loaded",
+                 grouped(store_ != nullptr ? store_->loaded().size() : 0)});
+  table.add_row({"store records appended",
+                 grouped(store_ != nullptr ? store_->appended() : 0)});
+  table.add_row({"traces built", grouped(traces_.builds())});
+  table.add_row({"trace-cache hits", grouped(traces_.hits())});
   os << "evaluation cache decomposition:\n" << table.render();
   return os.str();
 }
 
 void EvalService::flush() {
-  stats();  // refreshes the sampled gauges
+  refresh_gauges();
   if (store_ != nullptr) store_->flush();
 }
 

@@ -22,7 +22,10 @@
 /// Observability: the service's cache/dedup counters are `obs::Registry`
 /// metrics (the shared service reports into the global registry; hermetic
 /// services get a private one), each batch and each fresh backend run is a
-/// trace span, and `stats()` snapshots everything into `EvalStats`.
+/// trace span, and `flush()` refreshes the sampled pool/store gauges. Every
+/// request lands in exactly one of {eval.backend_runs, eval.memo_hits,
+/// eval.store_hits, eval.inflight_joins}, so the four counters decompose
+/// eval.requests.
 
 #include <array>
 #include <atomic>
@@ -39,7 +42,6 @@
 #include "config/cpu_config.hpp"
 #include "eval/api.hpp"
 #include "eval/backend.hpp"
-#include "eval/eval_stats.hpp"
 #include "eval/fused.hpp"
 #include "eval/result_store.hpp"
 #include "eval/trace_cache.hpp"
@@ -113,19 +115,13 @@ class EvalService final : public Evaluator {
     pool_.parallel_for(count, fn);
   }
 
-  /// Snapshot of the cache/dedup counters. The live counters are obs
-  /// registry metrics ("eval.requests", "eval.backend_runs", ...); this
-  /// reads them into the plain EvalStats block, and refreshes the service's
-  /// pool/store gauges as a side effect.
-  EvalStats stats() const;
-
   /// The greppable one-line cache summary ("[eval] fresh simulator runs:
   /// ..."), read straight from the registry counters. Byte-stable: CI's
   /// cache-reuse smoke greps its prefix.
   std::string summary_line() const;
 
-  /// The human-readable cache-decomposition table (registry-backed
-  /// replacement for the old sim::render_eval_stats(EvalStats) shim path).
+  /// The human-readable cache-decomposition table, read from the registry
+  /// counters and the store / trace-cache accessors.
   std::string cache_table() const;
 
   /// The registry this service reports into (its own unless ServiceConfig
@@ -226,7 +222,11 @@ class EvalService final : public Evaluator {
   /// Present only when options_.registry was null (hermetic service).
   std::unique_ptr<obs::Registry> own_metrics_;
   obs::Registry* metrics_;
-  // Cached registry metrics — the single source of truth EvalStats reads.
+  /// Sets the sampled gauges (pool queue depth, store appends) from their
+  /// sources, so a registry snapshot reflects the current state.
+  void refresh_gauges() const;
+
+  // Cached registry metrics — the single source of truth for the counters.
   obs::Counter* requests_;
   obs::Counter* backend_runs_;
   obs::Counter* memo_hits_;

@@ -10,17 +10,22 @@ namespace adse::mem {
 
 namespace {
 
-/// DRAM service time per line request, in nanoseconds, at 1 GHz DRAM clock.
-/// Bandwidth therefore scales with both DRAM clock and line width:
-///   BW = line_bytes * ram_clock_ghz / kRamServiceNsAt1Ghz  bytes/ns.
-/// With a 64 B line and DDR4-2666-class 1.33 GHz this yields ~21 GB/s —
-/// single-core-saturation territory, matching §III's "all cores work under
-/// saturation of the main memory controller" framing.
-constexpr double kRamServiceNsAt1Ghz = 4.0;
-
 constexpr std::uint64_t kPageBytes = 4096;
 
 }  // namespace
+
+CoreCycleTiming core_cycle_timing(const config::MemParams& params,
+                                  double core_clock_ghz) {
+  ADSE_REQUIRE(core_clock_ghz > 0);
+  CoreCycleTiming t;
+  t.l1_latency = params.l1_latency_cycles * core_clock_ghz / params.l1_clock_ghz;
+  t.l2_latency = params.l2_latency_cycles * core_clock_ghz / params.l2_clock_ghz;
+  t.ram_latency = params.ram_latency_ns * core_clock_ghz;
+  t.l1_interval = core_clock_ghz / params.l1_clock_ghz / 2.0;
+  t.l2_interval = core_clock_ghz / params.l2_clock_ghz;
+  t.ram_interval = kRamServiceNsAt1Ghz / params.ram_clock_ghz * core_clock_ghz;
+  return t;
+}
 
 MemoryHierarchy::MemoryHierarchy(const config::MemParams& params,
                                  double core_clock_ghz,
@@ -34,22 +39,15 @@ MemoryHierarchy::MemoryHierarchy(const config::MemParams& params,
       l2_(CacheGeometry{static_cast<std::uint64_t>(params.l2_size_kib) * 1024,
                         static_cast<std::uint32_t>(params.cache_line_bytes),
                         static_cast<std::uint32_t>(params.l2_assoc)}) {
-  ADSE_REQUIRE(core_clock_ghz > 0);
-
-  // Latency conversion: N level-clock cycles = N / level_clock ns
-  //                    = N * core_clock / level_clock core cycles.
-  l1_lat_core_ = params.l1_latency_cycles * core_clock_ghz_ / params.l1_clock_ghz;
-  l2_lat_core_ = params.l2_latency_cycles * core_clock_ghz_ / params.l2_clock_ghz;
-  ram_lat_core_ =
-      params.ram_latency_ns * core_clock_ghz_ * fidelity_.dram_latency_scale;
-
-  // Port service: the (dual-ported, TX2-like) L1 serves two requests per L1
-  // clock cycle, L2 one per L2 cycle; DRAM one line per
-  // kRamServiceNsAt1Ghz / ram_clock ns.
-  l1_interval_ = core_clock_ghz_ / params.l1_clock_ghz / 2.0;
-  l2_interval_ = core_clock_ghz_ / params.l2_clock_ghz;
-  ram_interval_ = kRamServiceNsAt1Ghz / params.ram_clock_ghz * core_clock_ghz_ *
-                  fidelity_.dram_interval_scale;
+  // The shared clock-domain conversion, then the proxy's DRAM penalties
+  // applied on top (scale last, so the campaign path is bit-identical).
+  const CoreCycleTiming t = core_cycle_timing(params, core_clock_ghz_);
+  l1_lat_core_ = t.l1_latency;
+  l2_lat_core_ = t.l2_latency;
+  ram_lat_core_ = t.ram_latency * fidelity_.dram_latency_scale;
+  l1_interval_ = t.l1_interval;
+  l2_interval_ = t.l2_interval;
+  ram_interval_ = t.ram_interval * fidelity_.dram_interval_scale;
 
   if (fidelity_.finite_banks > 0) {
     bank_free_.assign(static_cast<std::size_t>(fidelity_.finite_banks), 0.0);

@@ -25,6 +25,29 @@
 
 namespace adse::mem {
 
+/// DRAM service time per line request, in nanoseconds, at 1 GHz DRAM clock.
+/// Bandwidth therefore scales with both DRAM clock and line width:
+///   BW = line_bytes * ram_clock_ghz / kRamServiceNsAt1Ghz  bytes/ns.
+/// With a 64 B line and DDR4-2666-class 1.33 GHz this yields ~21 GB/s —
+/// single-core-saturation territory, matching §III's "all cores work under
+/// saturation of the main memory controller" framing.
+inline constexpr double kRamServiceNsAt1Ghz = 4.0;
+
+/// A memory configuration's latencies and port service intervals in
+/// (fractional) core cycles — the one clock-domain conversion shared by
+/// MemoryHierarchy and the tiled coherent machine.
+struct CoreCycleTiming {
+  double l1_latency = 0, l2_latency = 0, ram_latency = 0;
+  double l1_interval = 0, l2_interval = 0, ram_interval = 0;
+};
+
+/// Latency: N level-clock cycles = N / level_clock ns = N * core_clock /
+/// level_clock core cycles. Ports: the (dual-ported, TX2-like) L1 serves two
+/// requests per L1 clock cycle, L2 one per L2 cycle, DRAM one line per
+/// kRamServiceNsAt1Ghz / ram_clock ns.
+CoreCycleTiming core_cycle_timing(const config::MemParams& params,
+                                  double core_clock_ghz);
+
 /// Which level served a request.
 enum class ServedBy : std::uint8_t { kL1, kL2, kRam };
 

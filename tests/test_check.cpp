@@ -1,8 +1,8 @@
 /// \file test_check.cpp
 /// The verification harness verified: oracle bounds on hand-built traces
 /// with hand-computed expectations, the invariant layer catching tampered
-/// results, the ddmin shrinker on a synthetic failure predicate, and the
-/// repro file round-trip.
+/// results, the core design space, the ddmin shrinker on synthetic failure
+/// predicates, and the adse-repro v2 file round-trip.
 
 #include "check/check.hpp"
 
@@ -11,8 +11,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "check/fuzzer.hpp"
-#include "check/repro.hpp"
+#include "check/fuzz.hpp"
 #include "common/check.hpp"
 #include "common/require.hpp"
 #include "config/baselines.hpp"
@@ -214,20 +213,53 @@ TEST(CheckSwitch, SimulationCleanWithChecksOn) {
   }
 }
 
-// ---- parameter editing helpers --------------------------------------------
+// ---- parameter editing and design spaces -----------------------------------
 
 TEST(ParamEdit, WithParamRoundTrips) {
   const CpuConfig base = config::thunderx2_baseline();
   const CpuConfig edited = with_param(base, ParamId::kRobSize, 256.0);
   EXPECT_EQ(edited.core.rob_size, 256);
   EXPECT_EQ(param_value(edited, ParamId::kRobSize), 256.0);
-  const auto diff = diff_params(edited, base);
+  const DesignSpace& space = design_space(FuzzKind::kCore);
+  const auto diff = space.diff(core_point(edited, kernels::App::kStream));
   ASSERT_EQ(diff.size(), 1u);
-  EXPECT_EQ(diff[0], ParamId::kRobSize);
-  EXPECT_TRUE(diff_params(base, base).empty());
+  EXPECT_EQ(diff[0], static_cast<std::size_t>(ParamId::kRobSize));
+  EXPECT_TRUE(space.diff(core_point(base, kernels::App::kStream)).empty());
+  // A point round-trips through its (configuration, app) pair.
+  const Point point = core_point(edited, kernels::App::kTeaLeaf);
+  EXPECT_EQ(core_app(point), kernels::App::kTeaLeaf);
+  EXPECT_EQ(config::feature_vector(core_config(point)),
+            config::feature_vector(edited));
+}
+
+TEST(DesignSpaces, BaselinesAreValidAndTablesNamed) {
+  for (FuzzKind kind : {FuzzKind::kCore, FuzzKind::kCoherence}) {
+    const DesignSpace& space = design_space(kind);
+    EXPECT_EQ(space.invalid_reason(space.baseline()), "");
+    EXPECT_EQ(fuzz_kind_from_name(fuzz_kind_name(kind)), kind);
+  }
+  EXPECT_EQ(design_space(FuzzKind::kCore).dims.size(), config::kNumParams + 1);
+  EXPECT_EQ(design_space(FuzzKind::kCore).index("rob_size"),
+            static_cast<std::size_t>(ParamId::kRobSize));
+  EXPECT_THROW(design_space(FuzzKind::kCoherence).index("rob_size"),
+               InvariantError);
+  EXPECT_THROW(fuzz_kind_from_name("multicore"), InvariantError);
+
+  Point bad = design_space(FuzzKind::kCore).baseline();
+  bad[static_cast<std::size_t>(ParamId::kRobSize)] = 100.5;  // truncates
+  EXPECT_NE(design_space(FuzzKind::kCore).invalid_reason(bad), "");
+  bad = design_space(FuzzKind::kCore).baseline();
+  bad.back() = kernels::kNumApps;  // past the last app
+  EXPECT_NE(design_space(FuzzKind::kCore).invalid_reason(bad), "");
 }
 
 // ---- the shrinker ----------------------------------------------------------
+
+Violation core_violation(const CpuConfig& config) {
+  Violation violation;
+  violation.point = core_point(config, kernels::App::kStream);
+  return violation;
+}
 
 TEST(Shrink, DdminFindsTheTwoCulpritParameters) {
   // Synthetic failure: fires iff ROB >= 300 AND L1 is at least 64 KiB —
@@ -243,97 +275,132 @@ TEST(Shrink, DdminFindsTheTwoCulpritParameters) {
   noisy.mem.prefetch_distance = 9;
   noisy.core.load_queue_size = 200;
 
-  Violation violation;
-  violation.config = noisy;
+  Violation violation = core_violation(noisy);
   int probes = 0;
   const auto fires = [&probes](const Violation& v) {
     ++probes;
-    return v.config.core.rob_size >= 300 && v.config.mem.l1_size_kib >= 64;
+    const CpuConfig c = core_config(v.point);
+    return c.core.rob_size >= 300 && c.mem.l1_size_kib >= 64;
   };
-  const std::size_t left = shrink_violation(fires, violation, baseline);
+  const std::size_t left = shrink_violation(fires, violation);
   EXPECT_EQ(left, 2u);
-  EXPECT_EQ(violation.config.core.rob_size, 400);
-  EXPECT_EQ(violation.config.mem.l1_size_kib, 128);
-  EXPECT_EQ(violation.config.core.commit_width, baseline.core.commit_width);
+  const CpuConfig shrunk = core_config(violation.point);
+  EXPECT_EQ(shrunk.core.rob_size, 400);
+  EXPECT_EQ(shrunk.mem.l1_size_kib, 128);
+  EXPECT_EQ(shrunk.core.commit_width, baseline.core.commit_width);
   EXPECT_GT(probes, 0);
 }
 
 TEST(Shrink, ChainParameterIsNeverReset) {
   const CpuConfig baseline = config::thunderx2_baseline();
-  Violation violation;
+  Violation violation =
+      core_violation(with_param(baseline, ParamId::kRobSize, 64.0));
   violation.kind = Violation::Kind::kMonotonicity;
-  violation.chain_param = ParamId::kRobSize;
-  violation.config = with_param(baseline, ParamId::kRobSize, 64.0);
+  violation.chain_dim = static_cast<int>(ParamId::kRobSize);
+  violation.chain_lo = 64;
+  violation.chain_hi = 128;
   const auto always = [](const Violation&) { return true; };
-  EXPECT_EQ(shrink_violation(always, violation, baseline), 1u);
-  EXPECT_EQ(violation.config.core.rob_size, 64);
+  EXPECT_EQ(shrink_violation(always, violation), 1u);
+  EXPECT_EQ(core_config(violation.point).core.rob_size, 64);
+}
+
+TEST(Shrink, InvalidCandidatesAreSkippedNotProbed) {
+  // L1 latency 2, L2 latency 4 is valid; resetting L1 latency alone to the
+  // baseline's 4 would leave L2 no slower than L1 — that candidate must
+  // never reach the predicate. Resetting L2 unlocks it on the next pass.
+  CpuConfig start = config::thunderx2_baseline();
+  start.mem.l1_latency_cycles = 2;
+  start.mem.l2_latency_cycles = 4;
+  Violation violation = core_violation(start);
+  const DesignSpace& space = design_space(FuzzKind::kCore);
+  ASSERT_EQ(space.invalid_reason(violation.point), "");
+  int probes = 0;
+  const auto fires = [&](const Violation& probe) {
+    ++probes;
+    EXPECT_EQ(space.invalid_reason(probe.point), "");
+    return true;
+  };
+  EXPECT_EQ(shrink_violation(fires, violation), 0u);
+  EXPECT_EQ(probes, 2);
 }
 
 // ---- repro files -----------------------------------------------------------
 
 TEST(Repro, RoundTripsMonotonicityViolation) {
-  Violation v;
+  Violation v = core_violation(
+      with_param(with_param(config::thunderx2_baseline(), ParamId::kRamClock,
+                            0.88592601106074531),
+                 ParamId::kRobSize, 296));
+  v.point.back() = static_cast<double>(kernels::App::kTeaLeaf);
   v.kind = Violation::Kind::kMonotonicity;
-  v.app = kernels::App::kTeaLeaf;
   v.seed = 7;
   v.iteration = 42;
-  v.config = with_param(config::thunderx2_baseline(), ParamId::kRamClock,
-                        0.88592601106074531);
   v.message = "raising rob_size made tealeaf slower";
-  v.chain_param = ParamId::kRobSize;
+  v.chain_dim = static_cast<int>(ParamId::kRobSize);
   v.chain_lo = 296;
   v.chain_hi = 472;
   v.cycles_lo = 117210;
   v.cycles_hi = 126517;
 
   const std::string text = repro_to_string(v);
+  EXPECT_EQ(text.rfind("adse-repro v2\nkind: monotonicity\n", 0), 0u) << text;
+  EXPECT_NE(text.find("set: app tealeaf\n"), std::string::npos) << text;
   const Violation back = repro_from_string(text);
   EXPECT_EQ(back.kind, v.kind);
-  EXPECT_EQ(back.app, v.app);
+  EXPECT_EQ(core_app(back.point), kernels::App::kTeaLeaf);
   EXPECT_EQ(back.seed, v.seed);
   EXPECT_EQ(back.iteration, v.iteration);
   EXPECT_EQ(back.message, v.message);
-  ASSERT_TRUE(back.chain_param.has_value());
-  EXPECT_EQ(*back.chain_param, ParamId::kRobSize);
+  EXPECT_EQ(back.chain_dim, v.chain_dim);
   EXPECT_EQ(back.chain_lo, v.chain_lo);
   EXPECT_EQ(back.chain_hi, v.chain_hi);
   EXPECT_EQ(back.cycles_lo, v.cycles_lo);
   EXPECT_EQ(back.cycles_hi, v.cycles_hi);
   // The %.17g encoding preserves the continuous parameter exactly.
-  EXPECT_EQ(config::feature_vector(back.config),
-            config::feature_vector(v.config));
+  EXPECT_EQ(back.point, v.point);
   // Serialisation is deterministic.
   EXPECT_EQ(repro_to_string(back), text);
 }
 
 TEST(Repro, SaveAndLoadThroughAFile) {
-  Violation v;
-  v.kind = Violation::Kind::kInvariant;
-  v.app = kernels::App::kMiniBude;
+  Violation v = core_violation(
+      with_param(config::thunderx2_baseline(), ParamId::kRobSize, 64.0));
+  v.point.back() = static_cast<double>(kernels::App::kMiniBude);
   v.seed = 3;
   v.iteration = 9;
-  v.config = with_param(config::thunderx2_baseline(), ParamId::kRobSize, 64.0);
   v.message = "multi-line\nmessage gets flattened";
   const std::string dir = ::testing::TempDir() + "adse_check_repro";
   save_repro(dir, v);
-  ASSERT_FALSE(v.repro_path.empty());
+  EXPECT_EQ(v.repro_path, dir + "/repro-invariant-3-9.txt");
   const Violation back = load_repro(v.repro_path);
-  EXPECT_EQ(back.config.core.rob_size, 64);
+  EXPECT_EQ(core_config(back.point).core.rob_size, 64);
+  EXPECT_EQ(core_app(back.point), kernels::App::kMiniBude);
   EXPECT_EQ(back.message, "multi-line;message gets flattened");
+  EXPECT_EQ(back.repro_path, v.repro_path);
   std::remove(v.repro_path.c_str());
 }
 
 TEST(Repro, MalformedInputsThrow) {
-  EXPECT_THROW(repro_from_string("not a repro"), InvariantError);
-  EXPECT_THROW(repro_from_string("adse-check-repro v1\nbogus: x\nend\n"),
+  const std::string head = "adse-repro v2\n";
+  for (const std::string& text : {
+           std::string("not a repro"),
+           std::string("adse-repro v1\nkind: invariant\nend\n"),
+           head + "set: rob_size 64\nend\n",              // no kind
+           head + "kind: invariant\nbogus: x\nend\n",     // unknown key
+           head + "kind: monotonicity\nend\n",            // no chain line
+           head + "kind: invariant\nset: rob_size not-a-number\nend\n",
+           head + "kind: invariant\nset: rob_size\nend\n",
+           head + "kind: invariant\nset: app ring\nend\n",  // coherence app
+           head + "kind: invariant\nset: cores 4\nend\n",   // other table
+           head + "kind: invariant\nset: rob_size 3\nend\n",  // out of range
+           head + "kind: invariant\ninject: drop_inval_ack\nend\n",
+           head + "kind: monotonicity\nchain: rob_size 64 9999\nend\n",
+           head + "kind: coherence\nseed: -1\nend\n",
+       }) {
+    EXPECT_THROW(repro_from_string(text), InvariantError) << text;
+  }
+  EXPECT_THROW(load_repro(::testing::TempDir() + "no-such-repro.txt"),
                InvariantError);
-  EXPECT_THROW(
-      repro_from_string("adse-check-repro v1\nkind: monotonicity\nend\n"),
-      InvariantError);
-  EXPECT_THROW(
-      repro_from_string(
-          "adse-check-repro v1\nset: rob_size not-a-number\nend\n"),
-      InvariantError);
 }
 
 // ---- monotonicity machinery ------------------------------------------------
@@ -406,6 +473,21 @@ TEST(Fuzz, RejectsDegenerateOptions) {
   options.iterations = 1;
   options.chain_points = 1;
   EXPECT_THROW(fuzz(service, options), InvariantError);
+  options.chain_points = 3;
+  options.inject = coherence::InjectedBug::kDropInvalAck;  // core kind
+  EXPECT_THROW(fuzz(service, options), InvariantError);
+  options.kind = FuzzKind::kCoherence;
+  options.max_cores = 6;
+  EXPECT_THROW(fuzz(service, options), InvariantError);
+}
+
+TEST(Fuzz, ReplayRejectsInvalidPoints) {
+  // An invalid point is a usage error, never a finding: replay throws
+  // instead of answering "still reproduces".
+  eval::EvalService service;
+  Violation v = core_violation(config::thunderx2_baseline());
+  v.point[static_cast<std::size_t>(ParamId::kRobSize)] = 3;
+  EXPECT_THROW(reproduces(service, v), InvariantError);
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 /// TiledMemory with exact expected MSI state transitions after every step,
 /// for BOTH directory variants (full-map and limited/sparse); the injected
 /// protocol defects proven catchable by the conservation laws; and the
-/// multicore fuzzer end-to-end (clean soak, injection -> detection ->
-/// ddmin shrink -> repro round-trip) plus multicore-simulation determinism.
+/// coherence fuzz campaign end-to-end (clean soak, injection -> detection ->
+/// ddmin shrink -> repro round-trip, invalid points rejected) plus
+/// multicore-simulation determinism.
 ///
 /// Address scheme (4 tiles, ThunderX2 geometry: 64 B lines, 32 KiB 8-way L1,
 /// so 64 L1 sets): home(addr) = line-index bits [1:0], L1 set = line-index
@@ -18,9 +19,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <initializer_list>
 #include <string>
+#include <utility>
 
-#include "check/mc_fuzzer.hpp"
+#include <unistd.h>
+
+#include "check/fuzz.hpp"
 #include "common/check.hpp"
 #include "common/require.hpp"
 #include "config/baselines.hpp"
@@ -30,9 +35,7 @@
 namespace adse::coherence {
 namespace {
 
-using check::McFuzzOptions;
-using check::McPoint;
-using check::McViolation;
+using check::Violation;
 using config::CpuConfig;
 using config::DirectoryScheme;
 
@@ -263,81 +266,136 @@ TEST(Injection, SkippedDowngradeTripsWalk) {
   EXPECT_THROW(mem.verify("modified without ownership"), InvariantError);
 }
 
-// ---- multicore fuzzer end-to-end -------------------------------------------
+// ---- coherence fuzz campaign end-to-end -------------------------------------
+
+const check::DesignSpace& mc_space() {
+  return check::design_space(check::FuzzKind::kCoherence);
+}
+
+/// A coherence point: the baseline with the named dimensions overridden.
+check::Point mc_point(
+    std::initializer_list<std::pair<const char*, double>> overrides) {
+  check::Point p = mc_space().baseline();
+  for (const auto& [name, value] : overrides) p[mc_space().index(name)] = value;
+  return p;
+}
+
+check::FuzzOptions coherence_options(int iterations, std::uint64_t seed) {
+  check::FuzzOptions options;
+  options.kind = check::FuzzKind::kCoherence;
+  options.iterations = iterations;
+  options.seed = seed;
+  return options;
+}
 
 TEST(McFuzz, CleanSoakFindsNothing) {
-  McFuzzOptions options;
-  options.iterations = 16;
-  options.seed = 7;
-  const check::McFuzzReport report = check::mc_fuzz(options);
+  eval::EvalService service;
+  const check::FuzzReport report =
+      check::fuzz(service, coherence_options(16, 7));
   EXPECT_TRUE(report.ok()) << report.summary();
-  EXPECT_EQ(report.runs, 16u);
+  EXPECT_EQ(report.evaluations, 16u);
 }
 
 TEST(McFuzz, InjectedBugCaughtAndShrunkToTwoDimensions) {
-  McFuzzOptions options;
-  options.iterations = 8;
-  options.seed = 1;
+  eval::EvalService service;
+  check::FuzzOptions options = coherence_options(8, 1);
   options.inject = InjectedBug::kDropInvalAck;
-  const check::McFuzzReport report = check::mc_fuzz(options);
+  const check::FuzzReport report = check::fuzz(service, options);
   ASSERT_FALSE(report.ok());
-  // ddmin must land within two non-baseline dimensions of the default
-  // McPoint (the ISSUE acceptance bar for the planted-defect demo).
-  for (const McViolation& v : report.violations) {
-    McViolation copy = v;
-    EXPECT_LE(check::mc_shrink_violation(copy), 2u) << copy.message;
-    EXPECT_TRUE(check::mc_reproduces(copy));
+  // ddmin lands within two non-baseline dimensions of the baseline machine
+  // (the acceptance bar for the planted-defect demo), and the shrunk point
+  // still fires.
+  for (const Violation& v : report.violations) {
+    EXPECT_EQ(v.kind, Violation::Kind::kCoherence);
+    EXPECT_EQ(v.inject, InjectedBug::kDropInvalAck);
+    EXPECT_LE(mc_space().diff(v.point).size(), 2u) << v.message;
+    EXPECT_TRUE(check::reproduces(service, v));
   }
 }
 
 TEST(McFuzz, ReproStringRoundTrips) {
-  McViolation v;
+  Violation v;
+  v.kind = Violation::Kind::kCoherence;
   v.seed = 42;
   v.iteration = 7;
-  v.point.num_cores = 8;
-  v.point.directory_scheme = DirectoryScheme::kSparse;
-  v.point.directory_entries = 16;
-  v.point.vector_length_bits = 512;
-  v.point.app = kernels::McApp::kThreadedStream;
-  v.point.interleave_seed = 0xDEADBEEFCAFEF00DULL;  // > INT64_MAX when doubled
+  v.point = mc_point({{"cores", 8},
+                      {"scheme", static_cast<double>(DirectoryScheme::kSparse)},
+                      {"entries", 16},
+                      {"vl", 512},
+                      {"app", static_cast<double>(
+                                  kernels::McApp::kThreadedStream)},
+                      {"interleave_seed", 9007199254740991.0}});  // 2^53 - 1
   v.inject = InjectedBug::kLeakSharerBit;
   v.message = "requirement failed: stale sharer bit";
 
-  const McViolation back = check::mc_repro_from_string(
-      check::mc_repro_to_string(v));
+  const std::string text = check::repro_to_string(v);
+  EXPECT_NE(text.find("inject: leak_sharer_bit\n"), std::string::npos);
+  EXPECT_NE(text.find("set: scheme sparse\n"), std::string::npos);
+  EXPECT_NE(text.find("set: app threaded_stream\n"), std::string::npos)
+      << text;
+  const Violation back = check::repro_from_string(text);
+  EXPECT_EQ(back.kind, v.kind);
   EXPECT_EQ(back.seed, v.seed);
   EXPECT_EQ(back.iteration, v.iteration);
-  EXPECT_EQ(back.point.num_cores, v.point.num_cores);
-  EXPECT_EQ(back.point.directory_scheme, v.point.directory_scheme);
-  EXPECT_EQ(back.point.directory_entries, v.point.directory_entries);
-  EXPECT_EQ(back.point.vector_length_bits, v.point.vector_length_bits);
-  EXPECT_EQ(back.point.app, v.point.app);
-  EXPECT_EQ(back.point.interleave_seed, v.point.interleave_seed);
+  EXPECT_EQ(back.point, v.point);
   EXPECT_EQ(back.inject, v.inject);
   EXPECT_EQ(back.message, v.message);
+  EXPECT_EQ(check::repro_to_string(back), text);
 }
 
 TEST(McFuzz, ReproFileRoundTripsThroughDisk) {
+  std::string name = "adse_coherence_repro_test_";
+  name += std::to_string(::getpid());
   const std::string dir =
-      (std::filesystem::temp_directory_path() / "adse_mc_repro_test").string();
-  McViolation v;
+      (std::filesystem::temp_directory_path() / name).string();
+  Violation v;
+  v.kind = Violation::Kind::kCoherence;
   v.seed = 3;
   v.iteration = 11;
-  v.point.num_cores = 4;
+  v.point = mc_point({{"cores", 4}});
   v.inject = InjectedBug::kSkipDowngrade;
   v.message = "walk failed";
-  check::save_mc_repro(dir, v);
-  EXPECT_EQ(v.repro_path, dir + "/mc-repro-3-11.txt");
-  const McViolation back = check::load_mc_repro(v.repro_path);
-  EXPECT_EQ(back.point.num_cores, 4);
+  check::save_repro(dir, v);
+  EXPECT_EQ(v.repro_path, dir + "/repro-coherence-3-11.txt");
+  const Violation back = check::load_repro(v.repro_path);
+  EXPECT_EQ(back.point, v.point);
   EXPECT_EQ(back.inject, InjectedBug::kSkipDowngrade);
   std::filesystem::remove_all(dir);
 }
 
 TEST(McFuzz, MalformedReproRejected) {
-  EXPECT_THROW(check::mc_repro_from_string("not a repro"), InvariantError);
-  EXPECT_THROW(check::mc_repro_from_string("adse-mc-repro v1\nbogus_key 1\n"),
+  EXPECT_THROW(check::repro_from_string("not a repro"), InvariantError);
+  const std::string head = "adse-repro v2\nkind: coherence\n";
+  EXPECT_THROW(check::repro_from_string(head + "bogus_key: 1\nend\n"),
                InvariantError);
+  EXPECT_THROW(check::repro_from_string(head + "set: app stream\nend\n"),
+               InvariantError);  // a core app in the coherence table
+  EXPECT_THROW(check::repro_from_string(head + "inject: typo\nend\n"),
+               InvariantError);
+}
+
+TEST(McFuzz, InvalidCoreCountsRejectedNotReportedAsFiring) {
+  // A configuration error is a usage error: the loader rejects the point,
+  // and the run helper refuses it rather than calling it a law violation.
+  for (const char* cores : {"3", "0", "-4", "32", "2.5"}) {
+    const std::string text =
+        std::string("adse-repro v2\nkind: coherence\ninject: none\n"
+                    "set: cores ") +
+        cores + "\nend\n";
+    EXPECT_THROW(check::repro_from_string(text), InvariantError) << cores;
+  }
+  for (double cores : {3.0, 0.0, -4.0, 1.0}) {
+    EXPECT_NE(mc_space().invalid_reason(mc_point({{"cores", cores}})), "");
+    EXPECT_THROW(check::run_coherence_point(mc_point({{"cores", cores}}),
+                                            InjectedBug::kNone),
+                 InvariantError);
+  }
+  EXPECT_THROW(check::run_coherence_point(mc_point({{"vl", 96}}),
+                                          InjectedBug::kNone),
+               InvariantError);
+  EXPECT_EQ(check::run_coherence_point(mc_space().baseline(),
+                                       InjectedBug::kNone),
+            "");
 }
 
 // ---- multicore simulation: determinism and retirement ----------------------

@@ -194,6 +194,24 @@ TEST(Core, RegisterPressureStalls) {
   EXPECT_GT(stats.stall_no_phys[static_cast<int>(isa::RegClass::kFp)], 0u);
 }
 
+TEST(Core, RenameExhaustionStallsOnlyItsClassAndRecycles) {
+  // 6 FP rename registers (38 physical - 32 architectural): a long run of
+  // FP writes must stall on FP rename, never on the roomy GP class, and
+  // still retire every op — each commit returns the destination's previous
+  // mapping to the free list, so 1000 writes recycle the same 6 registers.
+  config::CpuConfig starved = roomy();
+  starved.core.fp_phys_regs = 38;
+  KernelBuilder b("fp-writes");
+  for (int i = 0; i < 1000; ++i) {
+    b.op(InstrGroup::kFp, fp(i % 32));
+    b.op(InstrGroup::kInt, gp(i % 16));
+  }
+  const CoreStats stats = run(starved, b.take());
+  EXPECT_EQ(stats.retired, 2000u);
+  EXPECT_GT(stats.stall_no_phys[static_cast<int>(isa::RegClass::kFp)], 0u);
+  EXPECT_EQ(stats.stall_no_phys[static_cast<int>(isa::RegClass::kGp)], 0u);
+}
+
 TEST(Core, StoreLoadForwardingObserved) {
   KernelBuilder b("fwd");
   b.op(InstrGroup::kFp, fp(1));

@@ -66,6 +66,17 @@ EvalOptions hermetic(int threads, std::string store_path = {}) {
   return options;
 }
 
+/// One of the service's named registry counters ("eval.backend_runs", ...).
+std::uint64_t counter(const EvalService& service, const char* name) {
+  return service.metrics().counter(name).value();
+}
+
+/// Records the service's store persisted, as its flushed gauge reports.
+double store_appended(EvalService& service) {
+  service.flush();
+  return service.metrics().gauge("eval.store_appended").value();
+}
+
 TEST(EvalService, ConcurrentIdenticalRequestsRunBackendOnce) {
   EvalService service(hermetic(4));
   CountingBackend backend;
@@ -89,10 +100,11 @@ TEST(EvalService, ConcurrentIdenticalRequestsRunBackendOnce) {
     EXPECT_EQ(r.run.app, "stream");
     EXPECT_EQ(r.run.config_name, request.config.name);
   }
-  const EvalStats stats = service.stats();
-  EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kThreads));
-  EXPECT_EQ(stats.backend_runs, 1u);
-  EXPECT_EQ(stats.memo_hits + stats.inflight_joins,
+  EXPECT_EQ(counter(service, "eval.requests"),
+            static_cast<std::uint64_t>(kThreads));
+  EXPECT_EQ(counter(service, "eval.backend_runs"), 1u);
+  EXPECT_EQ(counter(service, "eval.memo_hits") +
+                counter(service, "eval.inflight_joins"),
             static_cast<std::uint64_t>(kThreads - 1));
 }
 
@@ -135,7 +147,7 @@ TEST(EvalService, DistinctPointsAndBackendsDoNotAlias) {
   service.evaluate_one(stream, &b); // different backend: fresh run
   EXPECT_EQ(a.runs(), 2u);
   EXPECT_EQ(b.runs(), 1u);
-  EXPECT_EQ(service.stats().backend_runs, 3u);
+  EXPECT_EQ(counter(service, "eval.backend_runs"), 3u);
 }
 
 TEST(EvalService, MatchesDirectSimulation) {
@@ -168,7 +180,7 @@ TEST(EvalService, StoreReuseAcrossServices) {
   {
     EvalService service(hermetic(1, store));
     service.evaluate_one(stream_request(), &first_backend);
-    EXPECT_EQ(service.stats().store_appended, 1u);
+    EXPECT_EQ(store_appended(service), 1.0);
   }
   EXPECT_EQ(first_backend.runs(), 1u);
 
@@ -181,10 +193,9 @@ TEST(EvalService, StoreReuseAcrossServices) {
   EXPECT_EQ(second_backend.runs(), 0u);
   EXPECT_EQ(served.run.core.retired, 17u);
   EXPECT_EQ(served.run.mem.l1_hits, 5u);
-  const EvalStats stats = warm.stats();
-  EXPECT_EQ(stats.store_loaded, 1u);
-  EXPECT_EQ(stats.store_hits, 1u);
-  EXPECT_EQ(stats.backend_runs, 0u);
+  EXPECT_EQ(warm.metrics().gauge("eval.store_loaded").value(), 1.0);
+  EXPECT_EQ(counter(warm, "eval.store_hits"), 1u);
+  EXPECT_EQ(counter(warm, "eval.backend_runs"), 0u);
 
   std::filesystem::remove_all(dir);
 }
@@ -220,7 +231,7 @@ TEST(EvalService, SurrogateBackendIsNotPersisted) {
   EXPECT_GE(predicted.cycles(), 1u);
   EXPECT_EQ(predicted.source, ResultSource::kBackend);
   // Model output must never reach the on-disk store.
-  EXPECT_EQ(service.stats().store_appended, 0u);
+  EXPECT_EQ(store_appended(service), 0.0);
   // But it is memoised like any other backend.
   EXPECT_EQ(service.evaluate_one(stream_request(), &surrogate).source,
             ResultSource::kMemo);
@@ -264,24 +275,24 @@ TEST(EvalService, FusedBackendIsNotPersisted) {
     EXPECT_GE(predicted.cycles(), 1u);
     EXPECT_EQ(predicted.source, ResultSource::kBackend);
     // Model output must never reach the on-disk store.
-    EXPECT_EQ(service.stats().store_appended, 0u);
+    EXPECT_EQ(store_appended(service), 0.0);
     // But it is memoised like any other backend.
     EXPECT_EQ(service.evaluate_one(stream_request(), &fused).source,
               ResultSource::kMemo);
     // A real simulator run of the very same point IS persisted — the store
     // now holds this (config, app) under the simulator's key only.
     service.evaluate_one(stream_request());
-    EXPECT_EQ(service.stats().store_appended, 1u);
+    EXPECT_EQ(store_appended(service), 1.0);
   }
 
   // The warm store must not satisfy fused-backend keys: the same request
   // through the fused backend runs the model afresh instead of aliasing the
   // persisted simulator record.
   EvalService warm(hermetic(1, store));
-  EXPECT_EQ(warm.stats().store_loaded, 1u);
+  EXPECT_EQ(warm.metrics().gauge("eval.store_loaded").value(), 1.0);
   const EvalResult served = warm.evaluate_one(stream_request(), &fused);
   EXPECT_EQ(served.source, ResultSource::kBackend);
-  EXPECT_EQ(warm.stats().store_hits, 0u);
+  EXPECT_EQ(counter(warm, "eval.store_hits"), 0u);
   // While the simulator-keyed request still hits the disk record.
   EXPECT_EQ(warm.evaluate_one(stream_request()).source, ResultSource::kStore);
 
@@ -365,110 +376,61 @@ StoreRecord sample_record(int app, double feature0, std::uint64_t cycles) {
   r.features[0] = feature0;
   r.core.cycles = cycles;
   r.core.retired = 42;
-  r.core.sve_lane_ops = 7;  // v2-only counter: dropped by a v1 writer
+  r.core.sve_lane_ops = 7;
   r.mem.l1_hits = 9;
-  r.mem.l1_reads = 6;  // v2-only counter
+  r.mem.l1_reads = 6;
   r.power.dynamic_j = 1.5e-6;
   r.power.leakage_j = 2.5e-7;
   r.power.area_mm2 = 3.25;
   return r;
 }
 
-TEST(ResultStoreCompat, V1FilesLoadCleanlyWithNanPower) {
-  const auto dir = std::filesystem::temp_directory_path() / "adse_store_v1";
+TEST(ResultStoreCompat, V1HeaderedFileIsRebuiltAsEmptyV2) {
+  // The retired pre-power format ("ADSEVAL1") takes the stale-header path:
+  // nothing loads, the file is rewritten as an empty v2 store, and appends
+  // to it survive a reopen.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("adse_store_v1_" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::string path = (dir / "eval_store.bin").string();
-
-  ResultStore::write_legacy_v1(path,
-                               {sample_record(0, 128, 1000),
-                                sample_record(1, 256, 2000)});
-
-  ResultStore store(path);
-  ASSERT_EQ(store.loaded().size(), 2u);
-  const StoreRecord& a = store.loaded()[0];
-  EXPECT_EQ(a.core.cycles, 1000u);
-  EXPECT_EQ(a.core.retired, 42u);
-  EXPECT_EQ(a.mem.l1_hits, 9u);
-  // v2-only counters and the power block do not exist in v1: zeros / NaN.
-  EXPECT_EQ(a.core.sve_lane_ops, 0u);
-  EXPECT_EQ(a.mem.l1_reads, 0u);
-  EXPECT_FALSE(a.power.valid());
-
-  std::filesystem::remove_all(dir);
-}
-
-TEST(ResultStoreCompat, V1StoreMigratesToV2InPlace) {
-  const auto dir = std::filesystem::temp_directory_path() / "adse_store_mig";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  const std::string path = (dir / "eval_store.bin").string();
-
-  ResultStore::write_legacy_v1(path, {sample_record(0, 128, 1000)});
-  { ResultStore migrating(path); }  // open rewrites the file as v2
-
-  // The migrated file must now carry the v2 magic and fixed record size.
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    const std::uint32_t fields[3] = {1, config::kNumParams, 8 * 100};
+    std::fwrite("ADSEVAL1", 1, 8, f);
+    std::fwrite(fields, sizeof(fields[0]), 3, f);
+    const std::string record(8 * 100, '\x01');
+    std::fwrite(record.data(), 1, record.size(), f);
+    std::fclose(f);
+  }
+  {
+    ResultStore store(path);
+    EXPECT_TRUE(store.loaded().empty());
+    store.append(sample_record(2, 512, 3000));
+    EXPECT_EQ(store.appended(), 1u);
+  }
   std::FILE* f = std::fopen(path.c_str(), "rb");
   ASSERT_NE(f, nullptr);
   char magic[8] = {};
   ASSERT_EQ(std::fread(magic, 1, 8, f), 8u);
   std::fclose(f);
   EXPECT_EQ(std::string(magic, 8), "ADSEVAL2");
-  // Header = 8-byte magic + 3 uint32 fields; then one fixed-size v2 record.
+  // Header = 8-byte magic + 3 uint32 fields; then one fixed-size record.
   EXPECT_EQ(std::filesystem::file_size(path),
             8 + 3 * sizeof(std::uint32_t) + ResultStore::record_bytes());
 
-  // And a mixed-version life cycle round-trips: append a v2 record to the
-  // migrated store, reopen, and both generations coexist.
-  {
-    ResultStore store(path);
-    ASSERT_EQ(store.loaded().size(), 1u);
-    EXPECT_FALSE(store.loaded()[0].power.valid());
-    store.append(sample_record(2, 512, 3000));
-  }
   ResultStore reopened(path);
-  ASSERT_EQ(reopened.loaded().size(), 2u);
-  EXPECT_FALSE(reopened.loaded()[0].power.valid());  // migrated, still NaN
-  const StoreRecord& fresh = reopened.loaded()[1];
-  ASSERT_TRUE(fresh.power.valid());
-  EXPECT_DOUBLE_EQ(fresh.power.dynamic_j, 1.5e-6);
-  EXPECT_DOUBLE_EQ(fresh.power.leakage_j, 2.5e-7);
-  EXPECT_DOUBLE_EQ(fresh.power.area_mm2, 3.25);
-  EXPECT_EQ(fresh.core.sve_lane_ops, 7u);
-  EXPECT_EQ(fresh.mem.l1_reads, 6u);
-
-  std::filesystem::remove_all(dir);
-}
-
-TEST(ResultStoreCompat, ServiceRecomputesPowerForMigratedRecords) {
-  const auto dir = std::filesystem::temp_directory_path() / "adse_store_pw";
-  std::filesystem::remove_all(dir);
-  const std::string store_path = (dir / "eval_store.bin").string();
-
-  // Warm a v2 store with one real simulation, then strip it back to v1.
-  {
-    EvalService service(hermetic(1, store_path));
-    service.evaluate_one(stream_request());
-  }
-  std::vector<StoreRecord> records;
-  {
-    ResultStore store(store_path);
-    records = store.loaded();
-  }
-  ASSERT_EQ(records.size(), 1u);
-  ASSERT_TRUE(records[0].power.valid());
-  const double true_area = records[0].power.area_mm2;
-  ResultStore::write_legacy_v1(store_path, records);
-
-  // A service warming from the v1 file serves the run with power
-  // recomputed: area/leakage are exact functions of config and cycles.
-  EvalService warm(hermetic(1, store_path));
-  const EvalResult served = warm.evaluate_one(stream_request());
-  EXPECT_EQ(served.source, ResultSource::kStore);
-  ASSERT_TRUE(served.run.power.valid());
-  EXPECT_DOUBLE_EQ(served.run.power.area_mm2, true_area);
-  EXPECT_GT(served.run.power.leakage_j, 0.0);
-
+  ASSERT_EQ(reopened.loaded().size(), 1u);
+  const StoreRecord& back = reopened.loaded()[0];
+  EXPECT_EQ(back.app, 2);
+  EXPECT_EQ(back.features[0], 512.0);
+  EXPECT_EQ(back.core.cycles, 3000u);
+  EXPECT_EQ(back.core.sve_lane_ops, 7u);
+  EXPECT_EQ(back.mem.l1_reads, 6u);
+  EXPECT_DOUBLE_EQ(back.power.dynamic_j, 1.5e-6);
+  EXPECT_DOUBLE_EQ(back.power.leakage_j, 2.5e-7);
+  EXPECT_DOUBLE_EQ(back.power.area_mm2, 3.25);
   std::filesystem::remove_all(dir);
 }
 

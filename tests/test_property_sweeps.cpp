@@ -5,8 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "check/fuzzer.hpp"
-#include "check/repro.hpp"
+#include "check/fuzz.hpp"
 #include "common/check.hpp"
 #include "config/baselines.hpp"
 #include "config/param_space.hpp"
@@ -126,7 +125,7 @@ INSTANTIATE_TEST_SUITE_P(AllApps, PerAppSweep,
 // Raising a capacity resource must never cost more than the monotonicity
 // slack on a fixed trace. Chains run with the prefetcher off — with it on,
 // extra in-flight loads legitimately contend with prefetch fills for RAM
-// bandwidth (see src/check/fuzzer.hpp).
+// bandwidth (see src/check/fuzz.cpp).
 
 config::CpuConfig chain_base() {
   return check::with_param(config::thunderx2_baseline(),

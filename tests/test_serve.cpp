@@ -290,9 +290,10 @@ TEST_F(ServeTest, ManyClientsSameConfigCoalesceToOneBackendRun) {
     ASSERT_TRUE(r.ok()) << r.error;
     EXPECT_EQ(r.cycles(), responses.front().cycles());
   }
-  const eval::EvalStats stats = daemon.service().stats();
-  EXPECT_EQ(stats.backend_runs, 1u);
-  EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kClients));
+  obs::Registry& metrics = daemon.service().metrics();
+  EXPECT_EQ(metrics.counter("eval.backend_runs").value(), 1u);
+  EXPECT_EQ(metrics.counter("eval.requests").value(),
+            static_cast<std::uint64_t>(kClients));
 }
 
 TEST_F(ServeTest, GarbageBytesGetErrorFrameAndDaemonSurvives) {
@@ -368,9 +369,9 @@ TEST_F(ServeTest, ClientRetriesAcrossDaemonRestartAndWarmStoreServes) {
   ASSERT_TRUE(warm[1].ok()) << warm[1].error;
   EXPECT_EQ(warm[0].cycles(), cold[0].cycles());
   EXPECT_EQ(warm[1].cycles(), cold[1].cycles());
-  const eval::EvalStats stats = second.service().stats();
-  EXPECT_EQ(stats.backend_runs, 0u);
-  EXPECT_EQ(stats.store_hits, 2u);
+  obs::Registry& metrics = second.service().metrics();
+  EXPECT_EQ(metrics.counter("eval.backend_runs").value(), 0u);
+  EXPECT_EQ(metrics.counter("eval.store_hits").value(), 2u);
 }
 
 TEST_F(ServeTest, DrainingServerRejectsNewWorkWithDrainingStatus) {
