@@ -37,15 +37,6 @@ namespace {
 
 using namespace adse;
 
-double mean_pct(const std::vector<analysis::SurrogateEvaluation>& evals,
-                config::ParamId id) {
-  double total = 0.0;
-  for (const auto& eval : evals) {
-    total += eval.importance.percent[static_cast<std::size_t>(id)];
-  }
-  return total / static_cast<double>(evals.size());
-}
-
 }  // namespace
 
 int main() {

@@ -7,17 +7,29 @@
 
 namespace adse::config {
 
-std::vector<double> ParamSpec::values() const {
-  ADSE_REQUIRE_MSG(kind != StepKind::kReal,
-                   "values() on continuous parameter '" << name << "'");
+namespace {
+
+/// Enumerates a discrete range: the optional extra floor, then the powers of
+/// two or the linear steps up to max.
+std::vector<double> enumerate_values(const ParamSpec& spec) {
   std::vector<double> out;
-  if (extra_floor) out.push_back(*extra_floor);
-  if (kind == StepKind::kPow2) {
-    for (double v = min; v <= max; v *= 2) out.push_back(v);
+  if (spec.extra_floor) out.push_back(*spec.extra_floor);
+  if (spec.kind == StepKind::kPow2) {
+    for (double v = spec.min; v <= spec.max; v *= 2) out.push_back(v);
   } else {
-    for (double v = min; v <= max + 1e-9; v += step) out.push_back(v);
+    for (double v = spec.min; v <= spec.max + 1e-9; v += spec.step) {
+      out.push_back(v);
+    }
   }
   return out;
+}
+
+}  // namespace
+
+const std::vector<double>& ParamSpec::values() const {
+  ADSE_REQUIRE_MSG(kind != StepKind::kReal,
+                   "values() on continuous parameter '" << name << "'");
+  return table;
 }
 
 double ParamSpec::sample(Rng& rng, std::optional<double> raised_min) const {
@@ -28,13 +40,12 @@ double ParamSpec::sample(Rng& rng, std::optional<double> raised_min) const {
   if (kind == StepKind::kReal) {
     return rng.uniform_real(lo, max);
   }
-  std::vector<double> candidates;
-  for (double v : values()) {
-    if (v >= lo) candidates.push_back(v);
-  }
-  ADSE_REQUIRE_MSG(!candidates.empty(),
-                   "no values >= " << lo << " for '" << name << "'");
-  return candidates[rng.index(candidates.size())];
+  // The table ascends, so the values >= lo are a suffix of it.
+  const auto first = std::partition_point(
+      table.begin(), table.end(), [lo](double v) { return v < lo; });
+  const auto count = static_cast<std::size_t>(table.end() - first);
+  ADSE_REQUIRE_MSG(count > 0, "no values >= " << lo << " for '" << name << "'");
+  return first[static_cast<std::ptrdiff_t>(rng.index(count))];
 }
 
 double ParamSpec::neighbor(double current, Rng& rng,
@@ -48,25 +59,28 @@ double ParamSpec::neighbor(double current, Rng& rng,
     const double jittered = current + rng.uniform_real(-span, span);
     return std::clamp(jittered, lo, max);
   }
-  const std::vector<double> vals = values();
+  const std::vector<double>& vals = table;
   // Index of the value closest to `current` (mutation chains may hand us a
   // value that a constraint repair moved off-grid).
   std::size_t idx = 0;
   for (std::size_t i = 1; i < vals.size(); ++i) {
     if (std::abs(vals[i] - current) < std::abs(vals[idx] - current)) idx = i;
   }
-  std::vector<double> moves;
-  if (idx > 0 && vals[idx - 1] >= lo) moves.push_back(vals[idx - 1]);
-  if (idx + 1 < vals.size() && vals[idx + 1] >= lo) moves.push_back(vals[idx + 1]);
-  if (moves.empty()) return raise_to(lo);
-  return moves[rng.index(moves.size())];
+  double moves[2];
+  std::size_t num_moves = 0;
+  if (idx > 0 && vals[idx - 1] >= lo) moves[num_moves++] = vals[idx - 1];
+  if (idx + 1 < vals.size() && vals[idx + 1] >= lo) {
+    moves[num_moves++] = vals[idx + 1];
+  }
+  if (num_moves == 0) return raise_to(lo);
+  return moves[rng.index(num_moves)];
 }
 
 double ParamSpec::raise_to(double lo) const {
   ADSE_REQUIRE_MSG(lo <= max, "cannot raise '" << name << "' to " << lo
                                                << " (max " << max << ")");
   if (kind == StepKind::kReal) return std::max(min, lo);
-  for (double v : values()) {
+  for (double v : table) {
     if (v >= lo - 1e-9) return v;
   }
   ADSE_REQUIRE_MSG(false, "no value >= " << lo << " for '" << name << "'");
@@ -75,7 +89,7 @@ double ParamSpec::raise_to(double lo) const {
 
 bool ParamSpec::contains(double v) const {
   if (kind == StepKind::kReal) return v >= min && v <= max;
-  for (double x : values()) {
+  for (double x : table) {
     if (std::abs(x - v) < 1e-9) return true;
   }
   return false;
@@ -83,14 +97,15 @@ bool ParamSpec::contains(double v) const {
 
 ParameterSpace::ParameterSpace() {
   auto pow2 = [](ParamId id, double lo, double hi) {
-    return ParamSpec{id, param_name(id), lo, hi, 0, StepKind::kPow2, {}};
+    return ParamSpec{id, param_name(id), lo, hi, 0, StepKind::kPow2, {}, {}};
   };
   auto lin = [](ParamId id, double lo, double hi, double step,
                 std::optional<double> extra = std::nullopt) {
-    return ParamSpec{id, param_name(id), lo, hi, step, StepKind::kLinear, extra};
+    return ParamSpec{id, param_name(id), lo, hi, step, StepKind::kLinear,
+                     extra, {}};
   };
   auto real = [](ParamId id, double lo, double hi) {
-    return ParamSpec{id, param_name(id), lo, hi, 0, StepKind::kReal, {}};
+    return ParamSpec{id, param_name(id), lo, hi, 0, StepKind::kReal, {}, {}};
   };
 
   specs_ = {
@@ -129,7 +144,16 @@ ParameterSpace::ParameterSpace() {
   };
   ADSE_REQUIRE(specs_.size() == kNumParams);
   for (std::size_t i = 0; i < specs_.size(); ++i) {
-    ADSE_REQUIRE(static_cast<std::size_t>(specs_[i].id) == i);
+    ParamSpec& spec = specs_[i];
+    ADSE_REQUIRE(static_cast<std::size_t>(spec.id) == i);
+    if (spec.kind == StepKind::kReal) continue;
+    spec.table = enumerate_values(spec);
+    // sample() relies on the order to find the values above a bound.
+    ADSE_REQUIRE_MSG(
+        std::adjacent_find(spec.table.begin(), spec.table.end(),
+                           [](double a, double b) { return a >= b; }) ==
+            spec.table.end(),
+        "values of '" << spec.name << "' do not ascend");
   }
 }
 

@@ -34,8 +34,8 @@ struct ParamSpec {
   /// "38, then steps of 8 starting from 40" per Table II).
   std::optional<double> extra_floor;
 
-  /// All discrete values of the range (throws for kReal).
-  std::vector<double> values() const;
+  /// All discrete values of the range, ascending (throws for kReal).
+  const std::vector<double>& values() const;
 
   /// Uniform draw from the range, honouring an optional raised lower bound
   /// (used for dependent constraints). The raised bound is clamped into the
@@ -57,6 +57,10 @@ struct ParamSpec {
 
   /// True if `v` is a member of this parameter's range.
   bool contains(double v) const;
+
+  /// The discrete values, enumerated once by ParameterSpace (empty for
+  /// kReal); every method above reads this table.
+  std::vector<double> table;
 };
 
 /// Extra conditions applied when sampling a configuration.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <functional>
 #include <limits>
 
 #include "campaign/campaign.hpp"
@@ -340,6 +341,27 @@ RoundRecord make_record(int round, const std::vector<EvaluatedConfig>& evaluated
   return r;
 }
 
+/// One phase of a search round (candidate generation, scoring, simulation,
+/// refit): a `dse.<phase>` trace span plus a `dse.<phase>_seconds`
+/// histogram observation, so where a round's wall time went reads from
+/// either surface. `span` and `histogram` must be string literals.
+class Phase {
+ public:
+  Phase(const char* span, const char* histogram)
+      : span_(span, "dse"), histogram_(histogram) {}
+  ~Phase() {
+    obs::Registry::global().histogram(histogram_).observe(watch_.seconds());
+  }
+
+  Phase(const Phase&) = delete;
+  Phase& operator=(const Phase&) = delete;
+
+ private:
+  obs::Span span_;
+  const char* histogram_;
+  Stopwatch watch_;
+};
+
 /// Publishes one finished round into the process-wide registry: the journal
 /// stays the per-run record, the registry is the live cross-run surface a
 /// long campaign's health is read from.
@@ -438,14 +460,32 @@ SearchResult search(const SearchOptions& options, eval::EvalService& service) {
   // Second surrogate for the energy objective (multi-objective mode); area
   // needs no model — it is an exact function of the configuration.
   ml::RandomForestRegressor energy_surrogate(options.forest);
+  // Trees fit on the service's pool; the forest is bit-identical to a
+  // serial fit.
+  const ml::ParallelFor on_pool =
+      [&service](std::size_t count,
+                 const std::function<void(std::size_t)>& fn) {
+        service.parallel_for(count, fn);
+      };
   auto refit = [&]() {
-    surrogate.fit(dataset_of(options, result.evaluated));
+    Phase phase("dse.refit", "dse.refit_seconds");
+    surrogate.fit(dataset_of(options, result.evaluated), on_pool);
     if (multi) {
-      energy_surrogate.fit(energy_dataset_of(options, result.evaluated));
+      energy_surrogate.fit(energy_dataset_of(options, result.evaluated),
+                           on_pool);
       if (result.hv_reference.empty()) {
         result.hv_reference = hv_reference_of(options, result.evaluated);
       }
     }
+  };
+  // Simulates a batch and appends it to the evaluations.
+  auto simulate = [&](const std::vector<config::CpuConfig>& batch) {
+    Phase phase("dse.simulate", "dse.simulate_seconds");
+    auto evaluated =
+        evaluate_batch(options, batch, service, result.evaluated.size());
+    result.evaluated.insert(result.evaluated.end(),
+                            std::make_move_iterator(evaluated.begin()),
+                            std::make_move_iterator(evaluated.end()));
   };
   int round = 0;
   Stopwatch round_watch;
@@ -463,13 +503,12 @@ SearchResult search(const SearchOptions& options, eval::EvalService& service) {
         std::min(options.initial_samples -
                      static_cast<int>(result.evaluated.size()),
                  budget_left());
-    const auto batch =
-        distinct_uniform(space, want, simulated, rng, constraints);
-    auto evaluated =
-        evaluate_batch(options, batch, service, result.evaluated.size());
-    result.evaluated.insert(result.evaluated.end(),
-                            std::make_move_iterator(evaluated.begin()),
-                            std::make_move_iterator(evaluated.end()));
+    std::vector<config::CpuConfig> batch;
+    {
+      Phase phase("dse.candidates", "dse.candidates_seconds");
+      batch = distinct_uniform(space, want, simulated, rng, constraints);
+    }
+    simulate(batch);
     refit();
     result.journal.rounds.push_back(make_record(
         round, result.evaluated, static_cast<int>(batch.size()),
@@ -487,78 +526,86 @@ SearchResult search(const SearchOptions& options, eval::EvalService& service) {
     obs::Span span("dse.round", "dse");
     span.set_detail(options.label + " #" + std::to_string(round));
     // Propose: global draws + local mutants of the incumbents.
-    const auto incumbents =
-        incumbents_of(result.evaluated, options.candidates.num_incumbents);
-    const auto candidates = generate_candidates(
-        space, options.candidates, incumbents, simulated, rng, constraints);
+    std::vector<config::CpuConfig> candidates;
+    {
+      Phase phase("dse.candidates", "dse.candidates_seconds");
+      const auto incumbents =
+          incumbents_of(result.evaluated, options.candidates.num_incumbents);
+      candidates = generate_candidates(space, options.candidates, incumbents,
+                                       simulated, rng, constraints);
+    }
     ADSE_REQUIRE_MSG(!candidates.empty(), "empty candidate pool");
 
-    // Score: surrogate distribution(s) → acquisition ranking.
-    std::vector<ml::PredictionDistribution> dists(candidates.size());
-    std::vector<ml::PredictionDistribution> energy_dists(
-        multi ? candidates.size() : 0);
-    std::vector<double> areas(multi ? candidates.size() : 0);
-    service.parallel_for(candidates.size(), [&](std::size_t i) {
-      const auto features = config::feature_vector(candidates[i]);
-      dists[i] = surrogate.predict_dist({features.begin(), features.end()});
-      if (multi) {
-        energy_dists[i] =
-            energy_surrogate.predict_dist({features.begin(), features.end()});
-        areas[i] = power::area_mm2(candidates[i]);
-      }
-    });
-    std::vector<double> scores;
-    std::vector<double> greedy(candidates.size());
-    if (multi) {
-      // Hypervolume-improvement acquisition: score each candidate by how
-      // much its predicted (cycles, energy, area) point would grow the
-      // front's dominated hypervolume. The acquisition rank uses an
-      // optimistic mean − β·std prediction per surrogate (the
-      // multi-objective analogue of LCB — a candidate scores high if it
-      // *plausibly* lands in unclaimed objective space); the greedy share
-      // uses the plain means.
-      const auto front = ppa_rows(result.evaluated, options.app);
-      const double base_hv = hypervolume(front, result.hv_reference);
-      const double beta = options.acquisition.beta;
-      scores.resize(candidates.size());
-      service.parallel_for(candidates.size(), [&](std::size_t i) {
-        const auto hvi = [&](double b) {
-          auto pts = front;
-          pts.push_back(
-              {from_model_space(options, dists[i].mean - b * dists[i].std),
-               from_model_space(options,
-                                energy_dists[i].mean - b * energy_dists[i].std),
-               areas[i]});
-          return hypervolume(pts, result.hv_reference) - base_hv;
-        };
-        scores[i] = hvi(beta);
-        greedy[i] = hvi(0.0);
-      });
-    } else {
-      // The incumbent best must live in the same space as the surrogate's
-      // predictions for the improvement gap to mean anything.
-      const double best =
-          to_model_space(options, best_objective(result.evaluated));
-      scores = acquisition_scores(options.acquisition, dists, best);
-      for (std::size_t i = 0; i < dists.size(); ++i) greedy[i] = -dists[i].mean;
-    }
-    const double entropy = acquisition_entropy(scores);
-
-    // Simulate only this round's batch (greedy + acquisition split).
-    const auto top = select_batch(
-        options, greedy, scores,
-        static_cast<std::size_t>(std::min(options.batch_size, budget_left())));
+    // Score: surrogate distribution(s) → acquisition ranking → this round's
+    // batch (greedy + acquisition split).
+    double entropy = 0.0;
     std::vector<config::CpuConfig> batch;
-    batch.reserve(top.size());
-    for (std::size_t idx : top) {
-      simulated.insert(candidates[idx]);
-      batch.push_back(candidates[idx]);
+    {
+      Phase phase("dse.score", "dse.score_seconds");
+      std::vector<ml::PredictionDistribution> dists(candidates.size());
+      std::vector<ml::PredictionDistribution> energy_dists(
+          multi ? candidates.size() : 0);
+      std::vector<double> areas(multi ? candidates.size() : 0);
+      service.parallel_for(candidates.size(), [&](std::size_t i) {
+        const auto features = config::feature_vector(candidates[i]);
+        dists[i] = surrogate.predict_dist({features.begin(), features.end()});
+        if (multi) {
+          energy_dists[i] =
+              energy_surrogate.predict_dist({features.begin(), features.end()});
+          areas[i] = power::area_mm2(candidates[i]);
+        }
+      });
+      std::vector<double> scores;
+      std::vector<double> greedy(candidates.size());
+      if (multi) {
+        // Hypervolume-improvement acquisition: score each candidate by how
+        // much its predicted (cycles, energy, area) point would grow the
+        // front's dominated hypervolume. The acquisition rank uses an
+        // optimistic mean − β·std prediction per surrogate (the
+        // multi-objective analogue of LCB — a candidate scores high if it
+        // *plausibly* lands in unclaimed objective space); the greedy share
+        // uses the plain means.
+        const auto front = ppa_rows(result.evaluated, options.app);
+        const double base_hv = hypervolume(front, result.hv_reference);
+        const double beta = options.acquisition.beta;
+        scores.resize(candidates.size());
+        service.parallel_for(candidates.size(), [&](std::size_t i) {
+          const auto hvi = [&](double b) {
+            auto pts = front;
+            pts.push_back(
+                {from_model_space(options, dists[i].mean - b * dists[i].std),
+                 from_model_space(
+                     options, energy_dists[i].mean - b * energy_dists[i].std),
+                 areas[i]});
+            return hypervolume(pts, result.hv_reference) - base_hv;
+          };
+          scores[i] = hvi(beta);
+          greedy[i] = hvi(0.0);
+        });
+      } else {
+        // The incumbent best must live in the same space as the surrogate's
+        // predictions for the improvement gap to mean anything.
+        const double best =
+            to_model_space(options, best_objective(result.evaluated));
+        scores = acquisition_scores(options.acquisition, dists, best);
+        for (std::size_t i = 0; i < dists.size(); ++i) {
+          greedy[i] = -dists[i].mean;
+        }
+      }
+      entropy = acquisition_entropy(scores);
+      const auto top =
+          select_batch(options, greedy, scores,
+                       static_cast<std::size_t>(
+                           std::min(options.batch_size, budget_left())));
+      batch.reserve(top.size());
+      for (std::size_t idx : top) {
+        simulated.insert(candidates[idx]);
+        batch.push_back(candidates[idx]);
+      }
     }
-    auto evaluated =
-        evaluate_batch(options, batch, service, result.evaluated.size());
-    result.evaluated.insert(result.evaluated.end(),
-                            std::make_move_iterator(evaluated.begin()),
-                            std::make_move_iterator(evaluated.end()));
+
+    // Simulate only this round's batch.
+    simulate(batch);
 
     // Refit on the grown dataset and journal the round.
     refit();

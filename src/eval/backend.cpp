@@ -27,7 +27,7 @@ std::string proxy_key(const sim::ProxyOptions& o) {
 
 std::vector<sim::RunResult> Backend::run_batch(
     std::span<const config::CpuConfig> configs, kernels::App app,
-    const isa::Program& trace) const {
+    const Trace& trace) const {
   std::vector<sim::RunResult> out;
   out.reserve(configs.size());
   for (const config::CpuConfig& config : configs) {
@@ -43,14 +43,14 @@ const std::string& SimulatorBackend::key() const {
 
 sim::RunResult SimulatorBackend::run(const config::CpuConfig& config,
                                      kernels::App /*app*/,
-                                     const isa::Program& trace) const {
-  return sim::simulate(config, trace);
+                                     const Trace& trace) const {
+  return sim::simulate(config, trace.program(), trace.decoded());
 }
 
 std::vector<sim::RunResult> SimulatorBackend::run_batch(
     std::span<const config::CpuConfig> configs, kernels::App /*app*/,
-    const isa::Program& trace) const {
-  return sim::simulate_batch(configs, trace);
+    const Trace& trace) const {
+  return sim::simulate_batch(configs, trace.program(), trace.decoded());
 }
 
 HardwareProxyBackend::HardwareProxyBackend(sim::ProxyOptions options)
@@ -60,8 +60,8 @@ const std::string& HardwareProxyBackend::key() const { return key_; }
 
 sim::RunResult HardwareProxyBackend::run(const config::CpuConfig& config,
                                          kernels::App /*app*/,
-                                         const isa::Program& trace) const {
-  return sim::simulate_hardware(config, trace, options_);
+                                         const Trace& trace) const {
+  return sim::simulate_hardware(config, trace.program(), options_);
 }
 
 SurrogateForestBackend::SurrogateForestBackend(
@@ -81,7 +81,7 @@ const std::string& SurrogateForestBackend::key() const {
 
 sim::RunResult SurrogateForestBackend::run(const config::CpuConfig& config,
                                            kernels::App app,
-                                           const isa::Program& /*trace*/) const {
+                                           const Trace& /*trace*/) const {
   const auto features = config::feature_vector(config);
   double predicted = forests_[static_cast<std::size_t>(app)].predict(
       {features.begin(), features.end()});

@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "config/cpu_config.hpp"
-#include "isa/program.hpp"
+#include "eval/trace_cache.hpp"
 #include "kernels/workloads.hpp"
 #include "ml/forest.hpp"
 #include "sim/hardware_proxy.hpp"
@@ -52,10 +52,10 @@ class Backend {
   virtual bool needs_trace() const { return true; }
 
   /// Evaluates one (config, app) pair. `trace` is the app's trace for the
-  /// config's vector length when `needs_trace()`, else an empty program.
+  /// config's vector length when `needs_trace()`, else an empty one.
   /// Must be safe to call concurrently from multiple threads.
   virtual sim::RunResult run(const config::CpuConfig& config, kernels::App app,
-                             const isa::Program& trace) const = 0;
+                             const Trace& trace) const = 0;
 
   /// True if `run_batch` beats a per-request loop (the service only groups
   /// and chunks requests for backends that say so).
@@ -68,20 +68,21 @@ class Backend {
   /// engine (sim::simulate_batch).
   virtual std::vector<sim::RunResult> run_batch(
       std::span<const config::CpuConfig> configs, kernels::App app,
-      const isa::Program& trace) const;
+      const Trace& trace) const;
 };
 
 /// The campaign-fidelity cycle simulator (infinite banks / unlimited MSHRs /
-/// perfect branches — the SST defaults the paper describes).
+/// perfect branches — the SST defaults the paper describes). Runs against the
+/// trace's shared decode, so a service decodes each trace once.
 class SimulatorBackend final : public Backend {
  public:
   const std::string& key() const override;
   sim::RunResult run(const config::CpuConfig& config, kernels::App app,
-                     const isa::Program& trace) const override;
+                     const Trace& trace) const override;
   bool supports_batch() const override { return true; }
   std::vector<sim::RunResult> run_batch(
       std::span<const config::CpuConfig> configs, kernels::App app,
-      const isa::Program& trace) const override;
+      const Trace& trace) const override;
 };
 
 /// The ThunderX2 hardware stand-in (Table I): same core model with the
@@ -94,7 +95,7 @@ class HardwareProxyBackend final : public Backend {
   /// alias in the memo or the result store.
   const std::string& key() const override;
   sim::RunResult run(const config::CpuConfig& config, kernels::App app,
-                     const isa::Program& trace) const override;
+                     const Trace& trace) const override;
 
  private:
   sim::ProxyOptions options_;
@@ -117,7 +118,7 @@ class SurrogateForestBackend final : public Backend {
   bool persistable() const override { return false; }
   bool needs_trace() const override { return false; }
   sim::RunResult run(const config::CpuConfig& config, kernels::App app,
-                     const isa::Program& trace) const override;
+                     const Trace& trace) const override;
 
  private:
   std::array<ml::RandomForestRegressor, kernels::kNumApps> forests_;

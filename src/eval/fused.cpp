@@ -63,7 +63,7 @@ void FusedModel::set_threshold(double threshold) {
 
 std::vector<std::string> FusedModel::residual_feature_names() {
   std::vector<std::string> names;
-  for (int p = 0; p < config::kNumParams; ++p) {
+  for (std::size_t p = 0; p < config::kNumParams; ++p) {
     names.push_back(config::param_name(static_cast<config::ParamId>(p)));
   }
   const auto& analytical = analysis::AnalyticalFeatures::ml_feature_names();
@@ -191,7 +191,7 @@ const std::string& FusedBackend::key() const {
 
 sim::RunResult FusedBackend::run(const config::CpuConfig& config,
                                  kernels::App app,
-                                 const isa::Program& /*trace*/) const {
+                                 const Trace& /*trace*/) const {
   const FusedPrediction prediction = model_.predict(app, config);
   ADSE_REQUIRE_MSG(prediction.ready,
                    "FusedBackend asked to serve app "

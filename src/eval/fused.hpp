@@ -144,7 +144,7 @@ class FusedBackend final : public Backend {
   bool persistable() const override { return false; }
   bool needs_trace() const override { return false; }
   sim::RunResult run(const config::CpuConfig& config, kernels::App app,
-                     const isa::Program& trace) const override;
+                     const Trace& trace) const override;
 
  private:
   const FusedModel& model_;

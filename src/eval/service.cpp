@@ -16,9 +16,10 @@ namespace adse::eval {
 
 namespace {
 
-const isa::Program& empty_program() {
-  static const isa::Program program;
-  return program;
+/// What a backend that needs no trace receives.
+const Trace& empty_trace() {
+  static const Trace trace;
+  return trace;
 }
 
 }  // namespace
@@ -110,7 +111,8 @@ EvalService::EvalService(ServiceConfig config)
       batch_k_(options_.batch_k > 0 ? options_.batch_k
                                     : static_cast<int>(adse::batch_k())),
       traces_(&metrics_->counter("eval.trace_hits"),
-              &metrics_->counter("eval.trace_builds")) {
+              &metrics_->counter("eval.trace_builds"),
+              &metrics_->counter("eval.trace_decodes")) {
   // Teardown-order pin: pool workers may emit spans (and, for services on
   // the global registry, counter adds) right up until ~EvalService joins
   // them — which for the process-wide service happens during exit's static
@@ -177,10 +179,11 @@ void EvalService::run_claimed(const EvalRequest& request,
     // Coarse per-simulation span: one event per fresh backend run keeps a
     // 180k-config trace readable and the disabled-tracer cost to a branch.
     obs::Span span("eval.backend_run", "eval");
-    const isa::Program& trace =
+    const Trace& trace =
         backend.needs_trace()
-            ? traces_.get(request.app, request.config.core.vector_length_bits)
-            : empty_program();
+            ? traces_.entry(request.app,
+                            request.config.core.vector_length_bits)
+            : empty_trace();
     const sim::RunResult fresh = backend.run(request.config, request.app, trace);
     slot.core = fresh.core;
     slot.mem = fresh.mem;
@@ -459,7 +462,7 @@ std::vector<EvalResponse> EvalService::evaluate_batched(
     obs::Span chunk_span("eval.backend_run_batch", "eval");
     chunk_span.set_detail(std::to_string(chunk.members.size()) + " lanes");
     batch_width_->observe(static_cast<double>(chunk.members.size()));
-    const isa::Program& trace = traces_.get(chunk.app, chunk.vl);
+    const Trace& trace = traces_.entry(chunk.app, chunk.vl);
     std::vector<config::CpuConfig> configs;
     configs.reserve(chunk.members.size());
     for (const std::size_t c : chunk.members) {

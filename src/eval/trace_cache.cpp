@@ -2,7 +2,15 @@
 
 namespace adse::eval {
 
-const isa::Program& TraceCache::get(kernels::App app, int vl) {
+const core::DecodedTrace& Trace::decoded() const {
+  std::call_once(decode_once_, [this] {
+    decoded_ = std::make_unique<const core::DecodedTrace>(program_);
+    if (decode_counter_ != nullptr) decode_counter_->add(1);
+  });
+  return *decoded_;
+}
+
+const Trace& TraceCache::entry(kernels::App app, int vl) {
   const auto key = std::make_pair(static_cast<int>(app), vl);
   Slot* slot;
   {
@@ -13,14 +21,15 @@ const isa::Program& TraceCache::get(kernels::App app, int vl) {
   }
   if (slot->built.load(std::memory_order_acquire)) {
     hit_counter_->add(1);
-    return slot->program;
+    return slot->trace;
   }
   std::call_once(slot->once, [&] {
-    slot->program = kernels::build_app(app, vl);
+    slot->trace.program_ = kernels::build_app(app, vl);
+    slot->trace.decode_counter_ = decode_counter_;
     build_counter_->add(1);
     slot->built.store(true, std::memory_order_release);
   });
-  return slot->program;
+  return slot->trace;
 }
 
 std::size_t TraceCache::size() const {

@@ -88,7 +88,121 @@ double median_of(std::vector<double> v) {
   return 0.5 * (v[mid - 1] + hi);
 }
 
+/// One entry of a presorted feature run: the (value, target) pair the split
+/// scan reads, and the row it came from (which side of a split it goes to).
+struct SortedEntry {
+  double x;
+  double y;
+  std::uint32_t row;
+};
+
+/// Stably moves the entries whose row is marked in `goes_left` to the front
+/// of [first, first + n), the rest after them (through `spill`); returns the
+/// left count. Same result as std::stable_partition, without its allocation.
+template <typename T, typename RowOf>
+std::size_t stable_split(T* first, std::size_t n, T* spill,
+                         const std::vector<std::uint8_t>& goes_left,
+                         RowOf row_of) {
+  std::size_t left = 0, right = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (goes_left[row_of(first[i])]) {
+      first[left++] = first[i];
+    } else {
+      spill[right++] = first[i];
+    }
+  }
+  std::copy(spill, spill + right, first + left);
+  return left;
+}
+
 }  // namespace
+
+FeatureOrder::FeatureOrder(const Dataset& data)
+    : rows_(data.num_rows()), features_(data.num_features()) {
+  data.check();
+  ADSE_REQUIRE_MSG(rows_ <= std::numeric_limits<std::uint32_t>::max(),
+                   "too many rows for a feature order: " << rows_);
+  order_.resize(rows_ * features_);
+  std::vector<SortedEntry> column(rows_);
+  for (std::size_t f = 0; f < features_; ++f) {
+    for (std::size_t r = 0; r < rows_; ++r) {
+      column[r] = {data.x[r][f], data.y[r], static_cast<std::uint32_t>(r)};
+    }
+    std::sort(column.begin(), column.end(),
+              [](const SortedEntry& a, const SortedEntry& b) {
+                return std::make_pair(a.x, a.y) < std::make_pair(b.x, b.y);
+              });
+    for (std::size_t i = 0; i < rows_; ++i) {
+      order_[f * rows_ + i] = column[i].row;
+    }
+  }
+}
+
+/// The rows a fit grows from, in two views over the same multiset. Node
+/// [begin, end) owns indices[begin, end) — the rows in the order fit() was
+/// given them, which the node sums follow — and, for every feature f, the
+/// run sorted[f * m + begin, f * m + end), ascending by (value, target).
+/// A split stably partitions the row list and every run, so each child's
+/// runs stay sorted and no node ever sorts.
+struct DecisionTreeRegressor::Workspace {
+  Workspace(const Dataset& data, const FeatureOrder& order,
+            std::span<const std::uint32_t> rows)
+      : data(data),
+        m(rows.size()),
+        indices(rows.begin(), rows.end()),
+        sorted(data.num_features() * rows.size()),
+        goes_left(data.num_rows(), 0),
+        spill_rows(rows.size()),
+        spill_entries(rows.size()) {
+    // A repeated row is emitted once per copy, consecutively: copies are
+    // equal (value, target) pairs, so the runs stay sorted.
+    std::vector<std::uint32_t> copies(data.num_rows(), 0);
+    for (const std::uint32_t row : rows) {
+      ADSE_REQUIRE_MSG(row < data.num_rows(), "row " << row << " out of range");
+      copies[row]++;
+    }
+    for (std::size_t f = 0; f < data.num_features(); ++f) {
+      SortedEntry* out = sorted.data() + f * m;
+      for (const std::uint32_t row : order.feature(f)) {
+        for (std::uint32_t c = 0; c < copies[row]; ++c) {
+          *out++ = {data.x[row][f], data.y[row], row};
+        }
+      }
+    }
+  }
+
+  const SortedEntry* run(std::size_t f, std::size_t begin) const {
+    return sorted.data() + f * m + begin;
+  }
+
+  /// Splits node [begin, end) on x[row][feature] <= threshold; returns the
+  /// first index of the right child.
+  std::size_t partition(std::size_t begin, std::size_t end, int feature,
+                        double threshold) {
+    const auto f = static_cast<std::size_t>(feature);
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::uint32_t row = indices[i];
+      goes_left[row] = data.x[row][f] <= threshold ? 1 : 0;
+    }
+    const std::size_t n = end - begin;
+    const std::size_t left =
+        stable_split(indices.data() + begin, n, spill_rows.data(), goes_left,
+                     [](std::uint32_t row) { return row; });
+    for (std::size_t g = 0; g < data.num_features(); ++g) {
+      stable_split(sorted.data() + g * m + begin, n, spill_entries.data(),
+                   goes_left, [](const SortedEntry& e) { return e.row; });
+    }
+    return begin + left;
+  }
+
+  const Dataset& data;
+  const std::size_t m;  ///< rows in the fit (with repeats)
+  std::vector<std::uint32_t> indices;
+  std::vector<SortedEntry> sorted;
+  std::vector<std::uint8_t> goes_left;  ///< by dataset row id
+  std::vector<std::uint32_t> spill_rows;
+  std::vector<SortedEntry> spill_entries;
+};
 
 DecisionTreeRegressor::DecisionTreeRegressor(const TreeOptions& options)
     : options_(options) {
@@ -97,21 +211,27 @@ DecisionTreeRegressor::DecisionTreeRegressor(const TreeOptions& options)
 }
 
 void DecisionTreeRegressor::fit(const Dataset& data) {
-  data.check();
   ADSE_REQUIRE_MSG(data.num_rows() >= 1, "cannot fit on empty dataset");
+  const FeatureOrder order(data);
+  std::vector<std::uint32_t> rows(data.num_rows());
+  std::iota(rows.begin(), rows.end(), 0U);
+  fit(data, order, rows);
+}
+
+void DecisionTreeRegressor::fit(const Dataset& data, const FeatureOrder& order,
+                                std::span<const std::uint32_t> rows) {
+  ADSE_REQUIRE_MSG(!rows.empty(), "cannot fit on empty dataset");
+  ADSE_REQUIRE_MSG(order.num_rows() == data.num_rows() &&
+                       order.num_features() == data.num_features(),
+                   "feature order was built for another dataset");
   nodes_.clear();
   num_features_ = data.num_features();
   Rng rng(options_.seed);
-
-  std::vector<std::uint32_t> indices(data.num_rows());
-  std::iota(indices.begin(), indices.end(), 0);
-  root_ = build(data, indices, 0, indices.size(), 0, rng);
+  Workspace ws(data, order, rows);
+  root_ = build(ws, rng);
 }
 
-std::int32_t DecisionTreeRegressor::build(const Dataset& data,
-                                          std::vector<std::uint32_t>& indices,
-                                          std::size_t begin, std::size_t end,
-                                          int depth, Rng& rng) {
+std::int32_t DecisionTreeRegressor::build(Workspace& ws, Rng& rng) {
   // Explicit work stack (an unconstrained tree can chain to depth ~n, which
   // would overflow the call stack on large campaigns).
   struct Work {
@@ -120,8 +240,10 @@ std::int32_t DecisionTreeRegressor::build(const Dataset& data,
     std::int32_t parent;  // -1 for root
     bool is_left;
   };
+  const Dataset& data = ws.data;
+  const std::vector<std::uint32_t>& indices = ws.indices;
   std::vector<Work> stack;
-  stack.push_back({begin, end, depth, -1, false});
+  stack.push_back({0, ws.m, 0, -1, false});
   std::int32_t root = -1;
 
   while (!stack.empty()) {
@@ -158,7 +280,7 @@ std::int32_t DecisionTreeRegressor::build(const Dataset& data,
         static_cast<int>(n) >= options_.min_samples_split &&
         (options_.max_depth < 0 || w.depth < options_.max_depth) &&
         node.impurity > 1e-12;
-    if (can_split) split = find_best_split(data, indices, w.begin, w.end, rng);
+    if (can_split) split = find_best_split(ws, w.begin, w.end, rng);
 
     const std::int32_t slot = static_cast<std::int32_t>(nodes_.size());
     nodes_.push_back(node);
@@ -173,15 +295,9 @@ std::int32_t DecisionTreeRegressor::build(const Dataset& data,
     nodes_[slot].feature = split.feature;
     nodes_[slot].threshold = split.threshold;
 
-    // Stable partition: rows with feature <= threshold go left.
-    const auto first = indices.begin() + static_cast<std::ptrdiff_t>(w.begin);
-    const auto last = indices.begin() + static_cast<std::ptrdiff_t>(w.end);
-    const auto mid = std::stable_partition(first, last, [&](std::uint32_t row) {
-      return data.x[row][static_cast<std::size_t>(split.feature)] <=
-             split.threshold;
-    });
+    // Rows with feature <= threshold go left.
     const std::size_t cut =
-        w.begin + static_cast<std::size_t>(std::distance(first, mid));
+        ws.partition(w.begin, w.end, split.feature, split.threshold);
     ADSE_REQUIRE_MSG(cut > w.begin && cut < w.end, "degenerate split");
 
     // Push right first so left is processed next (depth-first, left-major).
@@ -192,13 +308,12 @@ std::int32_t DecisionTreeRegressor::build(const Dataset& data,
 }
 
 DecisionTreeRegressor::BestSplit DecisionTreeRegressor::find_best_split(
-    const Dataset& data, const std::vector<std::uint32_t>& indices,
-    std::size_t begin, std::size_t end, Rng& rng) const {
+    const Workspace& ws, std::size_t begin, std::size_t end, Rng& rng) const {
   const std::size_t n = end - begin;
   BestSplit best;
   best.score = std::numeric_limits<double>::infinity();
 
-  std::vector<int> features(data.num_features());
+  std::vector<int> features(num_features_);
   std::iota(features.begin(), features.end(), 0);
   if (options_.max_features > 0 &&
       options_.max_features < static_cast<int>(features.size())) {
@@ -213,17 +328,10 @@ DecisionTreeRegressor::BestSplit DecisionTreeRegressor::find_best_split(
     features.resize(static_cast<std::size_t>(options_.max_features));
   }
 
-  std::vector<std::pair<double, double>> pairs;  // (feature value, y)
-  pairs.reserve(n);
-
   for (int f : features) {
-    pairs.clear();
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::uint32_t row = indices[i];
-      pairs.emplace_back(data.x[row][static_cast<std::size_t>(f)], data.y[row]);
-    }
-    std::sort(pairs.begin(), pairs.end());
-    if (pairs.front().first == pairs.back().first) continue;  // constant
+    // The node's (feature value, y) pairs in ascending order.
+    const SortedEntry* pairs = ws.run(static_cast<std::size_t>(f), begin);
+    if (pairs[0].x == pairs[n - 1].x) continue;  // constant
 
     const int min_leaf = options_.min_samples_leaf;
 
@@ -231,20 +339,20 @@ DecisionTreeRegressor::BestSplit DecisionTreeRegressor::find_best_split(
       // Prefix sums -> child SSE in O(1) per candidate.
       double left_sum = 0.0, left_sum2 = 0.0;
       double total_sum = 0.0, total_sum2 = 0.0;
-      for (const auto& p : pairs) {
-        total_sum += p.second;
-        total_sum2 += p.second * p.second;
+      for (std::size_t i = 0; i < n; ++i) {
+        total_sum += pairs[i].y;
+        total_sum2 += pairs[i].y * pairs[i].y;
       }
       for (std::size_t i = 0; i + 1 < n; ++i) {
-        left_sum += pairs[i].second;
-        left_sum2 += pairs[i].second * pairs[i].second;
+        left_sum += pairs[i].y;
+        left_sum2 += pairs[i].y * pairs[i].y;
         const auto nl = static_cast<double>(i + 1);
         const auto nr = static_cast<double>(n - i - 1);
         if (static_cast<int>(i + 1) < min_leaf ||
             static_cast<int>(n - i - 1) < min_leaf) {
           continue;
         }
-        if (pairs[i].first == pairs[i + 1].first) continue;
+        if (pairs[i].x == pairs[i + 1].x) continue;
         const double sse_l = std::max(0.0, left_sum2 - left_sum * left_sum / nl);
         const double right_sum = total_sum - left_sum;
         const double right_sum2 = total_sum2 - left_sum2;
@@ -254,7 +362,7 @@ DecisionTreeRegressor::BestSplit DecisionTreeRegressor::find_best_split(
         if (score < best.score) {
           best.found = true;
           best.feature = f;
-          best.threshold = 0.5 * (pairs[i].first + pairs[i + 1].first);
+          best.threshold = 0.5 * (pairs[i].x + pairs[i + 1].x);
           best.score = score;
         }
       }
@@ -262,7 +370,7 @@ DecisionTreeRegressor::BestSplit DecisionTreeRegressor::find_best_split(
       // Exact MAE via rank-compressed order statistics.
       std::vector<double> rank_values;
       rank_values.reserve(n);
-      for (const auto& p : pairs) rank_values.push_back(p.second);
+      for (std::size_t i = 0; i < n; ++i) rank_values.push_back(pairs[i].y);
       std::sort(rank_values.begin(), rank_values.end());
       rank_values.erase(std::unique(rank_values.begin(), rank_values.end()),
                         rank_values.end());
@@ -275,23 +383,25 @@ DecisionTreeRegressor::BestSplit DecisionTreeRegressor::find_best_split(
       OrderStats right(rank_values.size());
       left.attach_rank_values(&rank_values);
       right.attach_rank_values(&rank_values);
-      for (const auto& p : pairs) right.add(rank_of(p.second), p.second, +1);
+      for (std::size_t i = 0; i < n; ++i) {
+        right.add(rank_of(pairs[i].y), pairs[i].y, +1);
+      }
 
       for (std::size_t i = 0; i + 1 < n; ++i) {
-        const std::size_t r = rank_of(pairs[i].second);
-        left.add(r, pairs[i].second, +1);
-        right.add(r, pairs[i].second, -1);
+        const std::size_t r = rank_of(pairs[i].y);
+        left.add(r, pairs[i].y, +1);
+        right.add(r, pairs[i].y, -1);
         if (static_cast<int>(i + 1) < min_leaf ||
             static_cast<int>(n - i - 1) < min_leaf) {
           continue;
         }
-        if (pairs[i].first == pairs[i + 1].first) continue;
+        if (pairs[i].x == pairs[i + 1].x) continue;
         const double score = left.abs_deviation_around_median() +
                              right.abs_deviation_around_median();
         if (score < best.score) {
           best.found = true;
           best.feature = f;
-          best.threshold = 0.5 * (pairs[i].first + pairs[i + 1].first);
+          best.threshold = 0.5 * (pairs[i].x + pairs[i + 1].x);
           best.score = score;
         }
       }

@@ -7,6 +7,7 @@
 /// criterion are provided for the ablation benches.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,12 +31,43 @@ struct TreeOptions {
   std::uint64_t seed = 1;     ///< only used when max_features > 0
 };
 
+/// Every feature's row ids sorted by (value, target) — exactly
+/// std::pair<double, double>::operator< — computed once per dataset so split
+/// search scans sorted runs instead of sorting each node. Rows with equal
+/// (value, target) pairs are interchangeable to the scan, so one order serves
+/// every subset (and bootstrap multiset) of the rows: a forest sorts once and
+/// shares it across all its trees.
+class FeatureOrder {
+ public:
+  explicit FeatureOrder(const Dataset& data);
+
+  std::size_t num_rows() const { return rows_; }
+  std::size_t num_features() const { return features_; }
+
+  /// Row ids of feature `f`, ascending by (x[row][f], y[row]).
+  std::span<const std::uint32_t> feature(std::size_t f) const {
+    return {order_.data() + f * rows_, rows_};
+  }
+
+ private:
+  std::size_t rows_;
+  std::size_t features_;
+  std::vector<std::uint32_t> order_;  ///< feature-major, rows_ per feature
+};
+
 class DecisionTreeRegressor {
  public:
   explicit DecisionTreeRegressor(const TreeOptions& options = {});
 
   /// Fits the tree; requires at least one row.
   void fit(const Dataset& data);
+
+  /// Fits on the rows `rows` of `data`, repeats allowed (a bootstrap
+  /// sample), with `order` the FeatureOrder of `data`. Grows the same tree,
+  /// bit for bit, as fit() on a Dataset holding those rows in that order,
+  /// without copying them.
+  void fit(const Dataset& data, const FeatureOrder& order,
+           std::span<const std::uint32_t> rows);
 
   /// Predicts one feature row (width must match the training data).
   double predict(const std::vector<double>& row) const;
@@ -59,7 +91,6 @@ class DecisionTreeRegressor {
   std::string dump(int max_depth = 3,
                    const std::vector<std::string>& feature_names = {}) const;
 
- private:
   struct Node {
     // Internal nodes: feature >= 0, threshold set, children valid.
     // Leaves: feature == -1, value = mean (MSE) or median (MAE) of samples.
@@ -72,6 +103,11 @@ class DecisionTreeRegressor {
     std::uint32_t n_samples = 0;
   };
 
+  /// The fitted nodes in build order (depth-first, left child first).
+  const std::vector<Node>& nodes() const { return nodes_; }
+
+ private:
+
   struct BestSplit {
     bool found = false;
     int feature = -1;
@@ -79,12 +115,13 @@ class DecisionTreeRegressor {
     double score = 0.0;  ///< summed child impurity (lower is better)
   };
 
-  std::int32_t build(const Dataset& data, std::vector<std::uint32_t>& indices,
-                     std::size_t begin, std::size_t end, int depth, Rng& rng);
-  BestSplit find_best_split(const Dataset& data,
-                            const std::vector<std::uint32_t>& indices,
-                            std::size_t begin, std::size_t end,
-                            Rng& rng) const;
+  /// Per-fit state: the node row lists and the presorted feature runs
+  /// (defined in decision_tree.cpp).
+  struct Workspace;
+
+  std::int32_t build(Workspace& ws, Rng& rng);
+  BestSplit find_best_split(const Workspace& ws, std::size_t begin,
+                            std::size_t end, Rng& rng) const;
   int depth_of(std::int32_t node) const;
 
   TreeOptions options_;

@@ -13,7 +13,8 @@ RandomForestRegressor::RandomForestRegressor(const ForestOptions& options)
                options_.sample_fraction <= 1.0);
 }
 
-void RandomForestRegressor::fit(const Dataset& data) {
+void RandomForestRegressor::fit(const Dataset& data,
+                                const ParallelFor& parallel_for) {
   data.check();
   ADSE_REQUIRE_MSG(data.num_rows() >= 2, "forest needs at least 2 rows");
   trees_.clear();
@@ -23,37 +24,57 @@ void RandomForestRegressor::fit(const Dataset& data) {
   const std::size_t n = data.num_rows();
   const auto sample_size = static_cast<std::size_t>(
       std::max(1.0, options_.sample_fraction * static_cast<double>(n)));
+  const auto num_trees = static_cast<std::size_t>(options_.num_trees);
 
-  // Out-of-bag accumulators.
-  std::vector<double> oob_sum(n, 0.0);
-  std::vector<int> oob_count(n, 0);
-  std::vector<std::uint8_t> in_bag(n);
-
-  trees_.reserve(static_cast<std::size_t>(options_.num_trees));
-  for (int t = 0; t < options_.num_trees; ++t) {
-    // Bootstrap resample (with replacement).
-    Dataset sample;
-    sample.feature_names = data.feature_names;
-    std::fill(in_bag.begin(), in_bag.end(), 0);
+  // Every tree's bootstrap rows (with replacement) and seed, drawn in the
+  // order a serial fit consumes the generator.
+  std::vector<std::vector<std::uint32_t>> rows(num_trees);
+  std::vector<std::uint64_t> seeds(num_trees);
+  for (std::size_t t = 0; t < num_trees; ++t) {
+    rows[t].reserve(sample_size);
     for (std::size_t i = 0; i < sample_size; ++i) {
-      const std::size_t row = rng.index(n);
-      in_bag[row] = 1;
-      sample.add_row(data.x[row], data.y[row]);
+      rows[t].push_back(static_cast<std::uint32_t>(rng.index(n)));
     }
+    seeds[t] = rng.next();
+  }
 
+  // Trees are independent given their rows and seed; each also predicts its
+  // own out-of-bag rows.
+  const FeatureOrder order(data);
+  std::vector<DecisionTreeRegressor> trees(num_trees);
+  std::vector<std::vector<std::uint8_t>> in_bag(
+      num_trees, std::vector<std::uint8_t>(n, 0));
+  std::vector<std::vector<double>> oob_prediction(num_trees,
+                                                  std::vector<double>(n, 0.0));
+  const auto fit_tree = [&](std::size_t t) {
     TreeOptions tree_options = options_.tree;
     tree_options.max_features = options_.max_features;
-    tree_options.seed = rng.next();
-    DecisionTreeRegressor tree(tree_options);
-    tree.fit(sample);
-
+    tree_options.seed = seeds[t];
+    trees[t] = DecisionTreeRegressor(tree_options);
+    trees[t].fit(data, order, rows[t]);
+    for (const std::uint32_t row : rows[t]) in_bag[t][row] = 1;
     for (std::size_t row = 0; row < n; ++row) {
-      if (!in_bag[row]) {
-        oob_sum[row] += tree.predict(data.x[row]);
+      if (!in_bag[t][row]) {
+        oob_prediction[t][row] = trees[t].predict(data.x[row]);
+      }
+    }
+  };
+  if (parallel_for) {
+    parallel_for(num_trees, fit_tree);
+  } else {
+    for (std::size_t t = 0; t < num_trees; ++t) fit_tree(t);
+  }
+
+  // Out-of-bag sums in tree order, as a serial fit adds them.
+  std::vector<double> oob_sum(n, 0.0);
+  std::vector<int> oob_count(n, 0);
+  for (std::size_t t = 0; t < num_trees; ++t) {
+    for (std::size_t row = 0; row < n; ++row) {
+      if (!in_bag[t][row]) {
+        oob_sum[row] += oob_prediction[t][row];
         oob_count[row]++;
       }
     }
-    trees_.push_back(std::move(tree));
   }
 
   double total = 0.0;
@@ -65,6 +86,7 @@ void RandomForestRegressor::fit(const Dataset& data) {
     }
   }
   oob_mae_ = covered > 0 ? total / static_cast<double>(covered) : 0.0;
+  trees_ = std::move(trees);
 }
 
 double RandomForestRegressor::predict(const std::vector<double>& row) const {

@@ -9,6 +9,7 @@
 /// evaluated side by side in the ablation benches.
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "ml/dataset.hpp"
@@ -26,6 +27,12 @@ struct PredictionDistribution {
   double std = 0.0;
 };
 
+/// Runs fn(i) for every i in [0, count), possibly concurrently, and returns
+/// when all have finished (ThreadPool::parallel_for's shape). An empty
+/// callable means "serially on the calling thread".
+using ParallelFor = std::function<void(
+    std::size_t count, const std::function<void(std::size_t)>& fn)>;
+
 struct ForestOptions {
   int num_trees = 50;
   /// Features considered per split (0 = all, i.e. pure bagging;
@@ -42,8 +49,11 @@ class RandomForestRegressor {
  public:
   explicit RandomForestRegressor(const ForestOptions& options = {});
 
-  /// Fits `num_trees` trees on bootstrap resamples of `data`.
-  void fit(const Dataset& data);
+  /// Fits `num_trees` trees on bootstrap resamples of `data`. Trees are
+  /// fitted through `parallel_for` when given; the forest is bit-identical
+  /// either way, because every tree's bootstrap rows and seed are drawn up
+  /// front in serial order and the out-of-bag sums are added in tree order.
+  void fit(const Dataset& data, const ParallelFor& parallel_for = {});
 
   /// Mean prediction over the ensemble.
   double predict(const std::vector<double>& row) const;

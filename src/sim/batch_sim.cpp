@@ -15,6 +15,10 @@ std::vector<RunResult> simulate_lanes(
     const core::DecodedTrace* decoded, const mem::FidelityOptions& mem_fidelity,
     const core::CoreFidelity& core_fidelity, core::BatchRunInfo* info) {
   ADSE_REQUIRE_MSG(!configs.empty(), "empty config batch");
+  ADSE_REQUIRE_MSG(decoded == nullptr || decoded->size() == program.ops.size(),
+                   "decoded trace does not match program: "
+                       << decoded->size() << " vs " << program.ops.size()
+                       << " ops");
   // One hierarchy per lane: the cache/DRAM state is per-config (line sizes
   // and capacities differ), only the trace is shared.
   std::deque<mem::MemoryHierarchy> hierarchies;
@@ -139,10 +143,6 @@ std::vector<RunResult> simulate_batch(
 std::vector<RunResult> simulate_batch(
     std::span<const config::CpuConfig> configs, const isa::Program& program,
     const core::DecodedTrace& decoded, core::BatchRunInfo* info) {
-  ADSE_REQUIRE_MSG(decoded.size() == program.ops.size(),
-                   "decoded trace does not match program: "
-                       << decoded.size() << " vs " << program.ops.size()
-                       << " ops");
   return simulate_batch_impl(configs, program, &decoded, info);
 }
 

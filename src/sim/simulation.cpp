@@ -13,6 +13,14 @@ RunResult simulate(const config::CpuConfig& config,
       .front();
 }
 
+RunResult simulate(const config::CpuConfig& config,
+                   const isa::Program& program,
+                   const core::DecodedTrace& decoded) {
+  obs::Span span("sim.simulate", "sim");
+  return simulate_lanes({&config, 1}, program, &decoded, {}, {}, nullptr)
+      .front();
+}
+
 RunResult simulate_app(const config::CpuConfig& config, kernels::App app) {
   const isa::Program program =
       kernels::build_app(app, config.core.vector_length_bits);

@@ -12,6 +12,10 @@
 #include "mem/hierarchy.hpp"
 #include "power/power_model.hpp"
 
+namespace adse::core {
+class DecodedTrace;
+}  // namespace adse::core
+
 namespace adse::sim {
 
 /// Everything a single simulation returns.
@@ -33,6 +37,11 @@ struct RunResult {
 /// the paper describes): one lane of sim::simulate_lanes, the engine path
 /// every simulation shares.
 RunResult simulate(const config::CpuConfig& config, const isa::Program& program);
+
+/// Same, against `program`'s pre-decoded trace (decode paid once per trace,
+/// not per call); bit-identical to the form above.
+RunResult simulate(const config::CpuConfig& config, const isa::Program& program,
+                   const core::DecodedTrace& decoded);
 
 /// Convenience: builds the app's default trace for the config's vector
 /// length, then simulates it.

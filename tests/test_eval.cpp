@@ -35,7 +35,7 @@ class CountingBackend final : public Backend {
   bool needs_trace() const override { return false; }
 
   sim::RunResult run(const config::CpuConfig& config, kernels::App app,
-                     const isa::Program&) const override {
+                     const Trace&) const override {
     runs_.fetch_add(1, std::memory_order_relaxed);
     // Widen the race window so concurrent identical requests really overlap.
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -465,6 +465,37 @@ TEST(TraceCacheCounters, HitsAndBuilds) {
   cache.get(kernels::App::kStream, 512);
   EXPECT_EQ(cache.builds(), 2u);
   EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(TraceCacheCounters, DecodeIsLazyAndOncePerTrace) {
+  // Warming a trace never decodes it; the first simulation decodes it once
+  // and every later one (single or batched, from any worker) shares it.
+  EvalService service(hermetic(4));
+  service.trace(kernels::App::kStream, 128);
+  EXPECT_EQ(counter(service, "eval.trace_decodes"), 0u);
+
+  std::vector<EvalRequest> requests;
+  config::CpuConfig config = config::thunderx2_baseline();
+  for (int i = 0; i < 12; ++i) {
+    config.core.rob_size = 64 + 4 * i;
+    requests.push_back({config, kernels::App::kStream});
+  }
+  const auto responses = service.evaluate(requests);
+  const auto single = service.evaluate_one(
+      {config::thunderx2_baseline(), kernels::App::kStream});
+  EXPECT_EQ(counter(service, "eval.trace_decodes"), 1u);
+
+  // Results on the shared decode are the ones sim::simulate computes.
+  const isa::Program& program =
+      service.trace(kernels::App::kStream,
+                    config::thunderx2_baseline().core.vector_length_bits);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_TRUE(responses[i].ok());
+    EXPECT_EQ(responses[i].run.core.cycles,
+              sim::simulate(requests[i].config, program).core.cycles);
+  }
+  EXPECT_EQ(single.run.core.cycles,
+            sim::simulate(config::thunderx2_baseline(), program).core.cycles);
 }
 
 class ResultStoreTest : public ::testing::Test {

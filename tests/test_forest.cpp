@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <functional>
+#include <string>
 
 #include "common/require.hpp"
+#include "common/thread_pool.hpp"
 #include "ml/importance.hpp"
 #include "ml/metrics.hpp"
 
@@ -212,6 +216,113 @@ TEST(Forest, SingleTreeForestMatchesBaggedTree) {
   RandomForestRegressor forest(opts);
   forest.fit(d);
   EXPECT_GT(r2(d.y, forest.predict_all(d)), 0.8);
+}
+
+std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffU;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Twelve features on small integer grids (ties in every column), tied
+/// targets and duplicated rows — the shape of a search dataset.
+Dataset tied_dataset(int n, std::uint64_t seed) {
+  Dataset d;
+  for (int f = 0; f < 12; ++f) {
+    d.feature_names.push_back("x" + std::to_string(f));
+  }
+  Rng rng(seed);
+  for (int i = 0; i < n; ++i) {
+    std::vector<double> row;
+    for (std::size_t f = 0; f < 12; ++f) {
+      row.push_back(static_cast<double>(rng.index(f + 2)));
+    }
+    // Tenths make every sum depend on its order (node sums, OOB sums).
+    const double y = 10.0 * row[0] + row[3] * row[5] +
+                     0.1 * static_cast<double>(rng.index(3));
+    if (i % 5 == 0) d.add_row(row, y);
+    d.add_row(std::move(row), y);
+  }
+  return d;
+}
+
+/// Hash of everything a fitted forest reports: per-row mean and std,
+/// the OOB error and the impurity importances.
+std::uint64_t forest_digest(const RandomForestRegressor& forest,
+                            const Dataset& probe) {
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  for (const auto& row : probe.x) {
+    const PredictionDistribution dist = forest.predict_dist(row);
+    digest = fnv_mix(digest, std::bit_cast<std::uint64_t>(dist.mean));
+    digest = fnv_mix(digest, std::bit_cast<std::uint64_t>(dist.std));
+  }
+  digest = fnv_mix(digest, std::bit_cast<std::uint64_t>(forest.oob_mae()));
+  for (const double v : forest.impurity_importance()) {
+    digest = fnv_mix(digest, std::bit_cast<std::uint64_t>(v));
+  }
+  return digest;
+}
+
+TEST(Forest, PinnedFitDigest) {
+  // Pinned on the serial, Dataset-copying fit: bootstrap draws, per-tree
+  // seeds, node sums and OOB accumulation must all stay in the same order.
+  const Dataset train = tied_dataset(160, 81);
+  const Dataset probe = tied_dataset(60, 82);
+  std::uint64_t digest = 0;
+  for (const int trees : {1, 40}) {
+    for (const int max_features : {0, 10}) {
+      ForestOptions opts;
+      opts.num_trees = trees;
+      opts.max_features = max_features;
+      opts.seed = 7;
+      RandomForestRegressor forest(opts);
+      forest.fit(train);
+      digest = fnv_mix(digest, forest_digest(forest, probe));
+    }
+  }
+  EXPECT_EQ(digest, 0x185a2cec97c23a36ULL);
+}
+
+TEST(Forest, ParallelFitIsBitIdentical) {
+  // Trees fitted on a pool must match the serial fit exactly: same bootstrap
+  // rows and seeds, OOB sums in tree order. Compared with ==, not a
+  // tolerance.
+  const Dataset train = tied_dataset(160, 83);
+  const Dataset probe = tied_dataset(60, 84);
+  for (const std::size_t threads : {1U, 4U}) {
+    ThreadPool pool(threads);
+    const ParallelFor on_pool =
+        [&pool](std::size_t count, const std::function<void(std::size_t)>& fn) {
+          pool.parallel_for(count, fn);
+        };
+    for (const int trees : {1, 40}) {
+      for (const int max_features : {0, 10}) {
+        ForestOptions opts;
+        opts.num_trees = trees;
+        opts.max_features = max_features;
+        opts.seed = 11;
+        RandomForestRegressor serial(opts), pooled(opts);
+        serial.fit(train);
+        pooled.fit(train, on_pool);
+        const std::string where = std::to_string(threads) + " threads, " +
+                                  std::to_string(trees) + " trees, " +
+                                  std::to_string(max_features) + " features";
+        for (const auto& row : probe.x) {
+          const PredictionDistribution a = serial.predict_dist(row);
+          const PredictionDistribution b = pooled.predict_dist(row);
+          EXPECT_TRUE(a.mean == b.mean && a.std == b.std) << where;
+        }
+        EXPECT_TRUE(serial.oob_mae() == pooled.oob_mae()) << where;
+        EXPECT_TRUE(serial.impurity_importance() ==
+                    pooled.impurity_importance())
+            << where;
+        EXPECT_EQ(forest_digest(serial, probe), forest_digest(pooled, probe))
+            << where;
+      }
+    }
+  }
 }
 
 }  // namespace

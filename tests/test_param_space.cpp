@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
 
@@ -249,6 +250,39 @@ INSTANTIATE_TEST_SUITE_P(AllParams, SpecSampleMembership,
                          [](const auto& info) {
                            return param_name(static_cast<ParamId>(info.param));
                          });
+
+TEST(ParameterSpace, PinnedSampleAndMutateDigest) {
+  // Pinned on the rebuild-the-value-list implementation: 2,000 sample() and
+  // mutate() feature vectors per constraint setting, hashed by raw bits.
+  const ParameterSpace space;
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  const auto mix = [&digest](const CpuConfig& config) {
+    for (const double v : feature_vector(config)) {
+      const auto bits = std::bit_cast<std::uint64_t>(v);
+      for (int i = 0; i < 8; ++i) {
+        digest ^= (bits >> (8 * i)) & 0xffU;
+        digest *= 0x100000001b3ULL;
+      }
+    }
+  };
+  for (const std::optional<int> vl :
+       {std::optional<int>{}, std::optional<int>{512}}) {
+    SampleConstraints constraints;
+    constraints.fixed_vector_length = vl;
+    Rng rng(91);
+    CpuConfig chain = space.sample(rng, constraints);
+    for (int i = 0; i < 1000; ++i) {
+      const CpuConfig drawn = space.sample(rng, constraints);
+      mix(drawn);
+      // Alternate fresh parents and a long mutation chain, which walks onto
+      // repaired (raised or halved) values.
+      const double rate = (i % 3 == 0) ? 0.2 : (i % 3 == 1 ? 0.5 : 1.0);
+      chain = space.mutate(i % 2 == 0 ? drawn : chain, rng, rate, constraints);
+      mix(chain);
+    }
+  }
+  EXPECT_EQ(digest, 0xd3566f57e3ffa0f9ULL);
+}
 
 }  // namespace
 }  // namespace adse::config
